@@ -49,8 +49,6 @@ from .spectral import (
     build_lambda_rate_matrix,
     build_qubit_rate_matrix,
     decompose,
-    dT_eigenvalue,
-    dT_eigenvector,
     dT_populations_modal,
     evolve_modal,
     gibbs_vector,
@@ -83,8 +81,6 @@ __all__ = [
     "gibbs_vector",
     "decompose",
     "temperature_derivatives",
-    "dT_eigenvalue",
-    "dT_eigenvector",
     "dT_populations_modal",
     "project_initial",
     "evolve_modal",

@@ -566,8 +566,8 @@ def verify_theorem(
     sample_times = grid[:: max(1, grid.size // 64)]
     cloud = np.vstack(
         [
-            pair.hot_trajectory(sample_times),
-            pair.cold_trajectory(sample_times),
+            pair.hot_population(sample_times),
+            pair.cold_population(sample_times),
             pair.equilibrium[None, :],
         ]
     )

@@ -25,7 +25,7 @@ from .fisher import (
     qfi_qubit_closed_form,
 )
 from .instances import LambdaPair, QubitPair, make_lambda_pair
-from .mpemba import TrajectoryOrderingError, qfi_gain
+from .mpemba import TrajectoryOrderingError, distance_series, qfi_gain
 from .oracle import IntegrationUnstableError
 from .protocol import (
     CELLS_ESTIMATE,
@@ -77,10 +77,18 @@ def _write_text(path: Path, content: str) -> None:
         handle.write(content)
 
 
-def _csv(header: list[str], rows: list[list], trailer: list[str] | None = None) -> str:
+def _csv(header: list[str], rows, trailer: list[str] | None = None) -> str:
+    """CSV text from a list of cell lists, or from a 2-D float array.
+
+    A float array goes through one ``%.17g`` row template, which writes the
+    same bytes as :func:`_fmt` does cell by cell.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    if isinstance(rows, np.ndarray):
+        template = ",".join(["%.17g"] * rows.shape[1])
+        lines.extend(template % tuple(row) for row in rows.tolist())
+    else:
+        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     if trailer:
         lines.extend(f"# {entry}" for entry in trailer)
     return "\n".join(lines) + "\n"
@@ -124,32 +132,15 @@ def cmd_relax(config: RunConfig, out_dir: Path) -> int:
     record = pair.detect(
         delta_tol=config.delta_tol, norm_kind=_norm_or_default(config), times=times
     )
-    rows = []
-    if pair.kind == "qubit":
-        eq = pair.equilibrium
-        for t in times:
-            hot = pair.hot_population(t)
-            cold = pair.cold_population(t)
-            rows.append([t, hot, cold, eq, abs(hot - eq), abs(cold - eq)])
-    else:
-        from .mpemba import thermal_distance
-
-        eq_vec = pair.equilibrium
-        kind = config.norm_kind or "euclidean"
-        for t in times:
-            hot = pair.hot_population(t)
-            cold = pair.cold_population(t)
-            # scalar columns carry the top-level (most informative) population
-            rows.append(
-                [
-                    t,
-                    hot[-1],
-                    cold[-1],
-                    eq_vec[-1],
-                    thermal_distance(hot, eq_vec, kind),
-                    thermal_distance(cold, eq_vec, kind),
-                ]
-            )
+    hot = pair.hot_population(times)
+    cold = pair.cold_population(times)
+    eq = pair.equilibrium
+    d_hot = distance_series(hot, eq, record.norm_kind)
+    d_cold = distance_series(cold, eq, record.norm_kind)
+    if hot.ndim == 2:
+        # scalar columns carry the top-level (most informative) population
+        hot, cold, eq = hot[:, -1], cold[:, -1], eq[-1]
+    rows = np.column_stack([times, hot, cold, np.full(times.shape, eq), d_hot, d_cold])
     trailer = [
         f"inversion_detected = {'true' if record.detected else 'false'}",
         f"t_star = {_fmt(record.t_star) if record.detected else 'none'}",
@@ -169,11 +160,11 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
     if config.qfi_mode == "trajectory":
         pair = _build_pair(config)
         f_eq = pair.equilibrium_fisher()
-        rows = []
-        for t in times:
-            f_hot = pair.hot_fisher(t)
-            f_cold = pair.cold_fisher(t)
-            rows.append([t, f_hot, f_cold, f_eq, qfi_gain(f_hot, f_eq)])
+        f_hot = pair.hot_fisher(times)
+        f_cold = pair.cold_fisher(times)
+        rows = np.column_stack(
+            [times, f_hot, f_cold, np.full(times.shape, f_eq), qfi_gain(f_hot, f_eq)]
+        )
         content = _csv(["t", "f_hot", "f_cold", "f_eq", "gain_log10"], rows)
         _write_text(out_dir / "qfi.csv", content)
         return 0
@@ -190,10 +181,14 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
     if not any(abs(p - p_eq) < 1e-15 for p in preparations):
         preparations.append(p_eq)  # the equilibrium-prepared reference row
     preparations.sort()
-    rows = []
-    for p0 in preparations:
-        for t in times:
-            rows.append([p0, t, qfi_qubit_closed_form(params, p0, t)])
+    rows = np.vstack(
+        [
+            np.column_stack(
+                [np.full(times.shape, p0), times, qfi_qubit_closed_form(params, p0, times)]
+            )
+            for p0 in preparations
+        ]
+    )
     content = _csv(["p0", "t", "f"], rows)
     _write_text(out_dir / "qfi.csv", content)
     return 0

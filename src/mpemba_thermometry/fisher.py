@@ -15,6 +15,8 @@ import numpy as np
 
 from .qubit import (
     QubitBathParams,
+    _check_times,
+    _decay,
     dT_gibbs,
     dT_rate,
     effective_rate,
@@ -44,11 +46,16 @@ class DivergentFisherError(ZeroDivisionError):
     """A population hit 0 or 1 while its temperature sensitivity did not vanish."""
 
 
-def fisher_from_populations(populations, d_populations) -> float:
+def fisher_from_populations(populations, d_populations):
     """F = sum_i (dT p_i)^2 / p_i for a population vector and its sensitivity.
 
     A level with p_i < 1e-15 contributes 0 if |dT p_i| < 1e-12 (an empty level
     carries no information) and raises :class:`DivergentFisherError` otherwise.
+
+    Stacked rows (one distribution per row, e.g. one per time) give one value
+    per row.  Each row follows the single-vector rules, the first failing row
+    raises what the single-vector call on it would raise, and levels are
+    summed in level order, so a row's value equals that call bit for bit.
     """
     if isinstance(populations, PopulationVector):
         populations = populations.populations
@@ -56,26 +63,46 @@ def fisher_from_populations(populations, d_populations) -> float:
     dp = np.asarray(d_populations, dtype=float)
     if p.shape != dp.shape:
         raise ValueError(f"shape mismatch: populations {p.shape} vs sensitivities {dp.shape}")
-    if float(p.min()) < -1e-12:
-        raise ValueError(f"negative population {float(p.min()):.3g}")
-    if abs(float(dp.sum())) > 1e-8:
-        raise ValueError(
-            f"sensitivities sum to {float(dp.sum()):.3g}; dT of a normalized "
-            "distribution must sum to zero"
-        )
-    total = 0.0
-    for pi, dpi in zip(p, dp):
-        if pi < _POPULATION_FLOOR:
-            if abs(dpi) < _SENSITIVITY_FLOOR:
-                continue
-            raise DivergentFisherError(
-                f"population {pi:.3g} vanishes while its sensitivity {dpi:.3g} does not"
+    rows_p = p.reshape(-1, p.shape[-1])
+    rows_dp = dp.reshape(rows_p.shape)
+    lowest = rows_p.min(axis=1)
+    sums = rows_dp.sum(axis=1)
+    empty = rows_p < _POPULATION_FLOOR
+    divergent = empty & ~(np.abs(rows_dp) < _SENSITIVITY_FLOOR)
+    failing = np.flatnonzero((lowest < -1e-12) | (np.abs(sums) > 1e-8) | divergent.any(axis=1))
+    if failing.size:
+        row = int(failing[0])
+        if lowest[row] < -1e-12:
+            raise ValueError(f"negative population {lowest[row]:.3g}")
+        if abs(sums[row]) > 1e-8:
+            raise ValueError(
+                f"sensitivities sum to {sums[row]:.3g}; dT of a normalized "
+                "distribution must sum to zero"
             )
-        total += dpi * dpi / pi
-    return total
+        level = int(np.flatnonzero(divergent[row])[0])
+        raise DivergentFisherError(
+            f"population {rows_p[row, level]:.3g} vanishes while its sensitivity "
+            f"{rows_dp[row, level]:.3g} does not"
+        )
+    total = np.zeros(rows_p.shape[0])
+    for level in range(rows_p.shape[1]):
+        occupied = ~empty[:, level]
+        pi = np.where(occupied, rows_p[:, level], 1.0)
+        dpi = rows_dp[:, level]
+        total += np.where(occupied, dpi * dpi / pi, 0.0)
+    return float(total[0]) if p.ndim == 1 else total.reshape(p.shape[:-1])
 
 
-def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t: float) -> float:
+def _square(x):
+    """x**2 as Python squares a float, through libm ``pow``, also per array element.
+
+    numpy's ``x**2`` on an array is x*x, which differs from ``pow`` in the
+    last bit for a small share of values; ``float_power`` calls ``pow``.
+    """
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
+
+
+def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t):
     """Exact trajectory Fisher information of the relaxing two-level probe.
 
     With E = exp(-Gamma t) the squared sensitivity expands into three terms —
@@ -85,24 +112,31 @@ def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t: float) -> float
         F(t) = [ (dT p_eq)^2 (1-E)^2
                  + (p0 - p_eq)^2 t^2 E^2 (dT Gamma)^2
                  - 2 (p0 - p_eq) (dT p_eq) t E (1-E) dT Gamma ] / (p (1-p)).
+
+    ``t`` is a float or a 1-D array; array entries equal the float call at
+    that time bit for bit.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    t = _check_times(t)
     q = thermal_quantities(params)
     rate = effective_rate(params, p0)
     d_rate = dT_rate(params, p0)
     d_peq = dT_gibbs(params.omega0, params.temperature)
-    decay = math.exp(-rate * t)
+    decay = _decay(rate, t)
     p_t = evolve_population(params, p0, t)
     variance = p_t * (1.0 - p_t)
-    if variance < _POPULATION_FLOOR:
+    if isinstance(t, np.ndarray):
+        low = np.flatnonzero(variance < _POPULATION_FLOOR)
+        deterministic = p_t[low[0]] if low.size else None
+    else:
+        deterministic = p_t if variance < _POPULATION_FLOOR else None
+    if deterministic is not None:
         raise DivergentFisherError(
-            f"population {p_t:.3g} is deterministic; Fisher information diverges"
+            f"population {deterministic:.3g} is deterministic; Fisher information diverges"
         )
     excess = p0 - q.p_eq
     numerator = (
-        d_peq**2 * (1.0 - decay) ** 2
-        + excess**2 * t**2 * decay**2 * d_rate**2
+        d_peq**2 * _square(1.0 - decay)
+        + excess**2 * _square(t) * _square(decay) * d_rate**2
         - 2.0 * excess * d_peq * t * decay * (1.0 - decay) * d_rate
     )
     return numerator / variance

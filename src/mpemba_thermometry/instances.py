@@ -5,6 +5,9 @@ spectral/sensitivity data into one object exposing the uniform surface the
 detection, certification, and CLI layers consume: populations, temperature
 sensitivities, Fisher information, distances, and a default time grid scaled
 to the slowest rate present.
+
+Every ``hot_*``/``cold_*`` method takes ``t`` as a float or as a 1-D array of
+times and answers with one value (or population row) per time.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qubit as qb
-from .fisher import fisher_from_populations, qfi_equilibrium
+from .fisher import fisher_from_populations, qfi_equilibrium, qfi_qubit_closed_form
 from .mpemba import InversionRecord, detect_inversion
 from .spectral import (
     ModalAmplitudes,
@@ -67,26 +70,22 @@ class QubitPair:
     def slow_rate(self) -> float:
         return min(self.rate_hot, self.rate_cold)
 
-    def hot_population(self, t: float) -> float:
+    def hot_population(self, t):
         return qb.evolve_population(self.params, self.p0_hot, t)
 
-    def cold_population(self, t: float) -> float:
+    def cold_population(self, t):
         return qb.evolve_population(self.params, self.p0_cold, t)
 
-    def hot_dT_population(self, t: float) -> float:
+    def hot_dT_population(self, t):
         return qb.dT_population(self.params, self.p0_hot, t)
 
-    def cold_dT_population(self, t: float) -> float:
+    def cold_dT_population(self, t):
         return qb.dT_population(self.params, self.p0_cold, t)
 
-    def hot_fisher(self, t: float) -> float:
-        from .fisher import qfi_qubit_closed_form
-
+    def hot_fisher(self, t):
         return qfi_qubit_closed_form(self.params, self.p0_hot, t)
 
-    def cold_fisher(self, t: float) -> float:
-        from .fisher import qfi_qubit_closed_form
-
+    def cold_fisher(self, t):
         return qfi_qubit_closed_form(self.params, self.p0_cold, t)
 
     def equilibrium_fisher(self) -> float:
@@ -135,28 +134,27 @@ class LambdaPair:
     def slow_rate(self) -> float:
         return float(self.decomposition.eigenvalues[1])
 
-    def hot_population(self, t: float) -> np.ndarray:
-        return modal_trajectory(self.decomposition, self.amps_hot, np.array([t]))[0]
+    def _populations(self, amplitudes: ModalAmplitudes, t) -> np.ndarray:
+        # a float is a one-row grid
+        rows = modal_trajectory(self.decomposition, amplitudes, np.atleast_1d(t))
+        return rows if np.ndim(t) else rows[0]
 
-    def cold_population(self, t: float) -> np.ndarray:
-        return modal_trajectory(self.decomposition, self.amps_cold, np.array([t]))[0]
+    def hot_population(self, t) -> np.ndarray:
+        return self._populations(self.amps_hot, t)
 
-    def hot_trajectory(self, times: np.ndarray) -> np.ndarray:
-        return modal_trajectory(self.decomposition, self.amps_hot, times)
+    def cold_population(self, t) -> np.ndarray:
+        return self._populations(self.amps_cold, t)
 
-    def cold_trajectory(self, times: np.ndarray) -> np.ndarray:
-        return modal_trajectory(self.decomposition, self.amps_cold, times)
-
-    def hot_dT_population(self, t: float) -> np.ndarray:
+    def hot_dT_population(self, t) -> np.ndarray:
         return dT_populations_modal(self.decomposition, self.amps_hot, self.derivatives, t)
 
-    def cold_dT_population(self, t: float) -> np.ndarray:
+    def cold_dT_population(self, t) -> np.ndarray:
         return dT_populations_modal(self.decomposition, self.amps_cold, self.derivatives, t)
 
-    def hot_fisher(self, t: float) -> float:
+    def hot_fisher(self, t):
         return fisher_from_populations(self.hot_population(t), self.hot_dT_population(t))
 
-    def cold_fisher(self, t: float) -> float:
+    def cold_fisher(self, t):
         return fisher_from_populations(self.cold_population(t), self.cold_dT_population(t))
 
     def equilibrium_fisher(self) -> float:

@@ -23,6 +23,7 @@ __all__ = [
     "InversionRecord",
     "HierarchyReport",
     "thermal_distance",
+    "distance_series",
     "detect_inversion",
     "crossover_time_bound",
     "qfi_gain",
@@ -99,10 +100,18 @@ def thermal_distance(state, equilibrium, norm_kind: str | None = None) -> float:
     return 0.5 * float(np.abs(diff).sum())
 
 
-def _distance_series(values, equilibrium, norm_kind: str) -> np.ndarray:
+def distance_series(values, equilibrium, norm_kind: str) -> np.ndarray:
+    """Distance from equilibrium at each time.
+
+    |p - p_eq| for a series of scalar states; for stacked population vectors
+    the ``norm_kind`` norm of each row, rejecting ``scalar_abs`` as
+    :func:`thermal_distance` does.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         return np.abs(arr - float(equilibrium))
+    if norm_kind == "scalar_abs":
+        raise ValueError("scalar_abs applies to scalar states only")
     diff = arr - np.asarray(equilibrium, dtype=float)[None, :]
     if norm_kind == "euclidean":
         return np.linalg.norm(diff, axis=1)
@@ -120,10 +129,12 @@ def detect_inversion(
     """Scan for the first time D_hot < D_cold - delta_tol on a grid.
 
     ``hot`` and ``cold`` are either trajectory arrays aligned with ``times``
-    (scalars per point, or population rows) or callables t -> state.  With
-    callables the grid crossing is refined by bisection to 1e-9 in t;
-    otherwise t* is reported as the first satisfying grid point.  Requires
-    D_hot(0) >= D_cold(0): the labels encode the initial ordering.
+    (scalars per point, or population rows) or callables.  A callable receives
+    the whole grid once and returns one state per time; the grid crossing is
+    then refined by bisection to 1e-9 in t, calling it with a float t on the
+    bracketing interval only.  With arrays t* is reported as the first
+    satisfying grid point.  Requires D_hot(0) >= D_cold(0): the labels encode
+    the initial ordering.
     """
     if delta_tol < 0:
         raise ValueError(f"delta_tol must be non-negative, got {delta_tol}")
@@ -135,15 +146,15 @@ def detect_inversion(
 
     hot_callable = callable(hot)
     cold_callable = callable(cold)
-    hot_values = np.asarray([hot(t) for t in times]) if hot_callable else np.asarray(hot)
-    cold_values = np.asarray([cold(t) for t in times]) if cold_callable else np.asarray(cold)
+    hot_values = np.asarray(hot(times) if hot_callable else hot)
+    cold_values = np.asarray(cold(times) if cold_callable else cold)
     if hot_values.shape[0] != times.size or cold_values.shape[0] != times.size:
         raise ValueError("trajectory length does not match the time grid")
 
     sample = hot_values[0]
     norm_kind = _resolve_norm(sample, norm_kind)
-    d_hot = _distance_series(hot_values, equilibrium, norm_kind)
-    d_cold = _distance_series(cold_values, equilibrium, norm_kind)
+    d_hot = distance_series(hot_values, equilibrium, norm_kind)
+    d_cold = distance_series(cold_values, equilibrium, norm_kind)
 
     if d_hot[0] < d_cold[0]:
         raise TrajectoryOrderingError(
@@ -234,8 +245,9 @@ def theorem_hierarchy_check(
     """Check F_hot(t) > F_cold(t) >= F_eq pointwise for t >= t_star.
 
     ``instance`` provides hot_fisher(t), cold_fisher(t), equilibrium_fisher().
-    With t_star None (no inversion) the claim is vacuous and the report is
-    marked not applicable.
+    Each of hot_fisher and cold_fisher is called once, with the whole array of
+    checked times, and returns one value per time.  With t_star None (no
+    inversion) the claim is vacuous and the report is marked not applicable.
     """
     if t_star is None:
         empty = np.array([])
@@ -250,8 +262,8 @@ def theorem_hierarchy_check(
     after = grid[grid >= t_star]
     if after.size == 0 or after[0] > t_star:
         after = np.concatenate(([t_star], after))
-    f_hot = np.array([instance.hot_fisher(t) for t in after])
-    f_cold = np.array([instance.cold_fisher(t) for t in after])
+    f_hot = np.asarray(instance.hot_fisher(after))
+    f_cold = np.asarray(instance.cold_fisher(after))
     f_eq = instance.equilibrium_fisher()
     hot_gt_cold = f_hot > f_cold
     cold_ge_eq = f_cold >= f_eq

@@ -12,6 +12,11 @@ temperature derivatives, which are written in overflow-safe factorized form:
 
     dT p_eq   = (omega0 / T^2) p_eq (1 - p_eq)
     dT nbar   = (omega0 / T^2) nbar (1 + nbar)
+
+The time-dependent closed forms take ``t`` as a float or as a 1-D array (one
+value per time).  The thermal quantities and rates are computed once per call
+and the decay factor uses ``math.exp`` per element, so each array entry equals
+the float call at that time bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ColdLimitWarning",
@@ -147,13 +154,33 @@ def effective_rate(params: QubitBathParams, p0: float) -> float:
     return rate
 
 
-def evolve_population(params: QubitBathParams, p0: float, t: float) -> float:
-    """Exact solution p(t) = p_eq + (p0 - p_eq) exp(-Gamma t)."""
+def _check_times(t):
+    """A float ``t`` unchanged, an array as a 1-D float array; negative times rejected."""
+    if isinstance(t, np.ndarray):
+        times = t.astype(float, copy=False)
+        if times.ndim != 1:
+            raise ValueError(f"t must be a float or a 1-D array, got shape {times.shape}")
+        if np.any(times < 0):
+            raise ValueError(f"t must be non-negative, got {float(times.min())}")
+        return times
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
+    return t
+
+
+def _decay(rate: float, t):
+    """exp(-rate t); per element with ``math.exp`` for an array of times."""
+    if isinstance(t, np.ndarray):
+        return np.array([math.exp(x) for x in (-rate * t).tolist()])
+    return math.exp(-rate * t)
+
+
+def evolve_population(params: QubitBathParams, p0: float, t):
+    """Exact solution p(t) = p_eq + (p0 - p_eq) exp(-Gamma t); ``t`` a float or 1-D array."""
+    t = _check_times(t)
     rate = effective_rate(params, p0)
     q = thermal_quantities(params)
-    return q.p_eq + (p0 - q.p_eq) * math.exp(-rate * t)
+    return q.p_eq + (p0 - q.p_eq) * _decay(rate, t)
 
 
 def relaxation_rhs(params: QubitBathParams, p0: float):
@@ -198,17 +225,17 @@ def dT_rate(params: QubitBathParams, p0: float) -> float:
     return d_gamma0 * (1.0 + params.alpha * (p0 - q.p_eq)) - params.alpha * q.gamma0 * d_peq
 
 
-def dT_population(params: QubitBathParams, p0: float, t: float) -> float:
+def dT_population(params: QubitBathParams, p0: float, t):
     """Temperature sensitivity of the relaxing population at fixed (p0, t).
 
-    dT p(t) = dT p_eq (1 - e^{-Gamma t}) - (p0 - p_eq) t e^{-Gamma t} dT Gamma.
+    dT p(t) = dT p_eq (1 - e^{-Gamma t}) - (p0 - p_eq) t e^{-Gamma t} dT Gamma,
+    with ``t`` a float or a 1-D array.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    t = _check_times(t)
     rate = effective_rate(params, p0)
     q = thermal_quantities(params)
     d_peq = dT_gibbs(params.omega0, params.temperature)
-    decay = math.exp(-rate * t)
+    decay = _decay(rate, t)
     return d_peq * (1.0 - decay) - (p0 - q.p_eq) * t * decay * dT_rate(params, p0)
 
 

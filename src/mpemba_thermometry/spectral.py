@@ -58,9 +58,6 @@ __all__ = [
     "evolve_modal",
     "modal_trajectory",
     "dT_rate_matrix",
-    "dT_eigenvalue",
-    "dT_eigenvector",
-    "dT_left_eigenvector",
     "temperature_derivatives",
     "dT_amplitudes",
     "amplitudes_with_derivatives",
@@ -395,35 +392,11 @@ def dT_rate_matrix(rate_matrix: RateMatrix, h: float | None = None) -> np.ndarra
     return d_h2
 
 
-def dT_eigenvalue(
-    rate_matrix: RateMatrix,
-    decomposition: SpectralDecomposition,
-    k: int,
-    h: float | None = None,
-) -> float:
-    """dT lambda_k = - w_k . (dT R) v_k (positive when the rate speeds up)."""
-    d_r = dT_rate_matrix(rate_matrix, h)
-    return -float(
-        decomposition.left_modes[:, k] @ d_r @ decomposition.right_modes[:, k]
-    )
-
-
 def _perturbation_coefficients(
     decomposition: SpectralDecomposition, d_r: np.ndarray
 ) -> np.ndarray:
     # overlap[j, k] = w_j . (dT R) v_k
     return decomposition.left_modes.T @ d_r @ decomposition.right_modes
-
-
-def dT_eigenvector(
-    rate_matrix: RateMatrix,
-    decomposition: SpectralDecomposition,
-    k: int,
-    h: float | None = None,
-) -> np.ndarray:
-    """dT v_k in the constant-overlap gauge (see module docstring for the sum)."""
-    d_r = dT_rate_matrix(rate_matrix, h)
-    return _dT_right_mode(decomposition, _perturbation_coefficients(decomposition, d_r), k)
 
 
 def _dT_right_mode(
@@ -441,17 +414,6 @@ def _dT_right_mode(
             )
         out += (overlap[j, k] / gap) * decomposition.right_modes[:, j]
     return out
-
-
-def dT_left_eigenvector(
-    rate_matrix: RateMatrix,
-    decomposition: SpectralDecomposition,
-    k: int,
-    h: float | None = None,
-) -> np.ndarray:
-    """dT w_k in the constant-overlap gauge."""
-    d_r = dT_rate_matrix(rate_matrix, h)
-    return _dT_left_mode(decomposition, _perturbation_coefficients(decomposition, d_r), k)
 
 
 def _dT_left_mode(
@@ -527,7 +489,7 @@ def dT_populations_modal(
     decomposition: SpectralDecomposition,
     amplitudes: ModalAmplitudes,
     derivatives: SpectralDerivatives,
-    t: float,
+    t,
 ) -> np.ndarray:
     """Total temperature sensitivity of the modal solution at fixed (p0, t).
 
@@ -535,22 +497,27 @@ def dT_populations_modal(
               + sum_{k>=2} a_k e^{-lambda_k t} dT v_k
 
     The value is gauge-invariant even though the two sums individually are not.
+    ``t`` is a float (one vector) or a 1-D array (one row per time, as in
+    :func:`modal_trajectory`); a float is evaluated as a one-row grid.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"t must be non-negative, got {float(times.min())}")
     if amplitudes.dT_amplitudes is None:
         raise ValueError("amplitudes carry no dT_amplitudes; use amplitudes_with_derivatives")
     a = amplitudes.amplitudes[1:]
     da = amplitudes.dT_amplitudes[1:]
     lam = decomposition.eigenvalues[1:]
     dlam = derivatives.d_eigenvalues[1:]
-    decay = np.exp(-lam * t)
-    modal = (da - a * t * dlam) * decay
-    return (
+    column = times.reshape(-1, 1)
+    decay = np.exp(-lam * column)
+    modal = (da - a * column * dlam) * decay
+    rows = (
         derivatives.d_stationary
-        + decomposition.right_modes[:, 1:] @ modal
-        + derivatives.d_right_modes[:, 1:] @ (a * decay)
+        + modal @ decomposition.right_modes[:, 1:].T
+        + (a * decay) @ derivatives.d_right_modes[:, 1:].T
     )
+    return rows if times.ndim else rows[0]
 
 
 def match_modes(

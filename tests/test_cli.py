@@ -1,5 +1,6 @@
 """Command-line interface: artifact schemas, determinism, and exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import mpemba_thermometry
-from mpemba_thermometry.cli import main
+from mpemba_thermometry.cli import _csv, _fmt, main
 from mpemba_thermometry.fisher import qfi_equilibrium
-from mpemba_thermometry.qubit import gibbs_population_qubit
+from mpemba_thermometry.qubit import QubitBathParams, evolve_population, gibbs_population_qubit
 
 T_STAR_QUBIT = 1.3671541640340499
 T_STAR_LADDER = 0.48787920210350055
@@ -58,6 +59,16 @@ class TestRelaxCommand:
         assert trailer["persistent"] == "true"
         assert trailer["norm_kind"] == "scalar_abs"
         assert float(trailer["t_star"]) == pytest.approx(T_STAR_QUBIT, abs=1e-7)
+
+    def test_qubit_rows_equal_pointwise_closed_form(self, tmp_path):
+        assert main(["relax", "--output", str(tmp_path)]) == 0
+        _, rows, _ = read_table(tmp_path / "relax.csv")
+        params = QubitBathParams(omega0=1.0, gamma=1.0, temperature=0.5, alpha=1.0)
+        for row in rows:
+            # 17 significant digits round-trip, so equality is bit for bit
+            t, hot, cold = (float(cell) for cell in row[:3])
+            assert hot == evolve_population(params, 0.9, t)
+            assert cold == evolve_population(params, 0.5, t)
 
     def test_lambda_model_override(self, tmp_path):
         assert main(["relax", "--model", "lambda", "--output", str(tmp_path)]) == 0
@@ -265,11 +276,37 @@ class TestExitCodes:
         assert main(["relax", "--config", cfg, "--output", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["relax", "theorem"])
+    def test_scalar_norm_on_ladder_is_config_error(self, tmp_path, capsys, command):
+        # these preparations never cross, so no bisection step meets the norm
+        cfg = write_config(
+            tmp_path,
+            "model = lambda\nnorm_kind = scalar_abs\n"
+            "p_hot = 0.6,0.3,0.1\np_cold = 0.5,0.4,0.1\n",
+        )
+        assert main([command, "--config", cfg, "--output", str(tmp_path)]) == 2
+        assert "scalar_abs applies to scalar states only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem"])
+    def test_unphysical_rate_is_numerical_failure(self, tmp_path, capsys, command):
+        # the cold preparation drives the effective rate below zero
+        cfg = write_config(tmp_path, "alpha = 20.0\np0_cold = 0.0\n")
+        assert main([command, "--config", cfg, "--output", str(tmp_path)]) == 3
+        assert "non-positive" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a fully inverted preparation carries divergent information at t = 0
         cfg = write_config(tmp_path, "p0_hot = 1.0\n")
         assert main(["qfi", "--config", cfg, "--output", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_float_table_writes_the_bytes_of_fmt():
+    values = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22, math.inf, -math.inf, math.nan]
+    table = np.array([values, values[::-1]])
+    expected = "v\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table.tolist())
+    assert _csv(["v"], table) == expected
+    assert _csv(["v"], table.tolist()) == expected
 
 
 def run_console_script(*args):

@@ -13,12 +13,27 @@ from mpemba_thermometry import (
     cramer_rao_bound,
     fisher_from_populations,
     qfi_equilibrium,
+    qfi_gain,
     qfi_qubit_closed_form,
 )
 from mpemba_thermometry.fisher import DivergentFisherError, qfi_short_time
 from mpemba_thermometry.qubit import dT_population, evolve_population
+from mpemba_thermometry.spectral import (
+    amplitudes_with_derivatives,
+    decompose,
+    dT_populations_modal,
+    modal_trajectory,
+    temperature_derivatives,
+)
 
-from conftest import CANONICAL, P0_COLD, P0_HOT, random_qubit
+from conftest import (
+    CANONICAL,
+    P0_COLD,
+    P0_HOT,
+    random_ladder,
+    random_preparation,
+    random_qubit,
+)
 
 F_EQ = 1.6798973664561040  # omega0 = 1, T = 0.5
 # trajectory values at the canonical crossing time t* = 1.36715416...
@@ -146,6 +161,91 @@ class TestPopulationFisher:
             np.array([p1, p2, p3]), np.array([d1, d2, -(d1 + d2)])
         )
         assert f >= 0.0
+
+
+def _outcome(populations, d_populations):
+    """The value of fisher_from_populations, or the type and text of what it raised."""
+    try:
+        return fisher_from_populations(populations, d_populations)
+    except (ValueError, DivergentFisherError) as exc:
+        return type(exc), str(exc)
+
+
+# level values around the floors: empty (0, below 1e-15), slightly negative
+# (tolerated down to -1e-12, rejected below), and ordinary
+_LEVEL = st.sampled_from([0.0, 5e-16, -5e-13, -1e-9, 0.25, 0.5])
+_SLOPE = st.sampled_from([0.0, 5e-13, 2e-12, 0.1, -0.1])
+_ROW = st.tuples(_LEVEL, _LEVEL, _SLOPE, _SLOPE, st.sampled_from([0.0, 1e-6]))
+
+
+class TestStackedRows:
+    """fisher_from_populations on stacked rows against one call per row."""
+
+    @given(seed=st.integers(0, 2**32 - 1), times=st.lists(st.floats(0.0, 30.0), max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_ladder_rows_equal_row_calls_bit_for_bit(self, seed, times):
+        rng = np.random.default_rng(seed)
+        matrix = random_ladder(rng)
+        dec = decompose(matrix)
+        der = temperature_derivatives(matrix, dec)
+        amps = amplitudes_with_derivatives(dec, der, random_preparation(rng, dec.stationary))
+        grid = np.array([0.0, *times])
+        rows_p = modal_trajectory(dec, amps, grid)
+        rows_dp = dT_populations_modal(dec, amps, der, grid)
+        expected = np.array([fisher_from_populations(p, dp) for p, dp in zip(rows_p, rows_dp)])
+        assert fisher_from_populations(rows_p, rows_dp).tobytes() == expected.tobytes()
+
+    @given(rows=st.lists(_ROW, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_fail_as_the_first_failing_row_call(self, rows):
+        populations = np.array([[a, b, 1.0 - a - b] for a, b, *_ in rows])
+        slopes = np.array([[c, d, skew - c - d] for _, _, c, d, skew in rows])
+        per_row = [_outcome(p, dp) for p, dp in zip(populations, slopes)]
+        failures = [o for o in per_row if isinstance(o, tuple)]
+        stacked = _outcome(populations, slopes)
+        if failures:
+            assert stacked == failures[0]
+        else:
+            assert stacked.tobytes() == np.array(per_row).tobytes()
+
+    def test_empty_level_contributes_nothing_and_live_one_diverges(self):
+        populations = np.array([[0.0, 0.4, 0.6], [0.2, 0.2, 0.6]])
+        quiet = np.array([[5e-13, 0.2, -0.2 - 5e-13], [0.1, -0.05, -0.05]])
+        f = fisher_from_populations(populations, quiet)
+        assert f[0] == pytest.approx(0.04 / 0.4 + 0.04 / 0.6, rel=1e-13)
+        live = quiet.copy()
+        live[0] = [0.1, 0.1, -0.2]
+        with pytest.raises(DivergentFisherError):
+            fisher_from_populations(populations, live)
+
+
+class TestClosedFormTimeArrays:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p0=st.floats(0.001, 0.999),
+        times=st.lists(st.floats(0.0, 40.0), max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_entries_equal_float_calls_bit_for_bit(self, seed, p0, times):
+        rng = np.random.default_rng(seed)
+        params = random_qubit(rng)
+        # squaring by x*x instead of pow moves ~1e-4 of the values, so each
+        # example also carries a dense random grid
+        grid = np.concatenate(([0.0], times, rng.uniform(0.0, 40.0, 1000)))
+        expected = np.array([qfi_qubit_closed_form(params, p0, t) for t in grid.tolist()])
+        assert qfi_qubit_closed_form(params, p0, grid).tobytes() == expected.tobytes()
+
+    def test_time_zero_row_has_no_information(self, canonical_params):
+        f = qfi_qubit_closed_form(canonical_params, P0_HOT, np.array([0.0, T_STAR]))
+        assert f[0] == 0.0
+        assert f[1] == pytest.approx(F_HOT_AT_TSTAR, rel=1e-10)
+        assert qfi_gain(f, F_EQ)[0] == -math.inf
+
+    def test_deterministic_row_and_negative_time_rejected(self, canonical_params):
+        with pytest.raises(DivergentFisherError):
+            qfi_qubit_closed_form(canonical_params, 1.0, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            qfi_qubit_closed_form(canonical_params, P0_HOT, np.array([1.0, -0.5]))
 
 
 class TestCramerRao:

@@ -19,7 +19,7 @@ from mpemba_thermometry import (
     thermal_distance,
     theorem_hierarchy_check,
 )
-from mpemba_thermometry.mpemba import TrajectoryOrderingError
+from mpemba_thermometry.mpemba import TrajectoryOrderingError, distance_series
 
 from conftest import (
     CANONICAL,
@@ -37,6 +37,18 @@ T_STAR_LADDER = 0.48787920210350055
 @pytest.fixture
 def canonical_pair(canonical_params):
     return QubitPair(canonical_params, P0_HOT, P0_COLD)
+
+
+class Recorder:
+    """Wraps t -> state and records every time argument it receives."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, t):
+        self.calls.append(t)
+        return self.fn(t)
 
 
 @pytest.fixture
@@ -67,6 +79,19 @@ class TestThermalDistance:
     def test_scalar_norm_on_vector_rejected(self):
         with pytest.raises(ValueError):
             thermal_distance(np.array([0.5, 0.5]), np.array([0.4, 0.6]), "scalar_abs")
+
+    def test_series_follows_the_single_state_rules(self):
+        rows = np.array([[0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])
+        eq = np.array([0.4, 0.4, 0.2])
+        for kind in ("euclidean", "total_variation"):
+            expected = [thermal_distance(row, eq, kind) for row in rows]
+            assert distance_series(rows, eq, kind) == pytest.approx(expected, rel=1e-15)
+        with pytest.raises(ValueError):
+            distance_series(rows, eq, "scalar_abs")
+        assert distance_series(np.array([0.9, 0.1]), 0.12, "scalar_abs").tolist() == [
+            abs(0.9 - 0.12),
+            abs(0.1 - 0.12),
+        ]
 
 
 class TestCrossoverTimeBound:
@@ -146,6 +171,22 @@ class TestDetectInversion:
         assert canonical_pair.detect(delta_tol=0.05).detected is False
         assert canonical_pair.detect(delta_tol=1e-4).detected is True
 
+    @pytest.mark.parametrize("model", ["qubit", "ladder"])
+    def test_callables_see_the_grid_once_then_bisect_with_floats(
+        self, model, canonical_pair, ladder_pair
+    ):
+        pair = canonical_pair if model == "qubit" else ladder_pair
+        times = pair.default_time_grid(400)
+        hot, cold = Recorder(pair.hot_population), Recorder(pair.cold_population)
+        record = detect_inversion(hot, cold, pair.equilibrium, times)
+        assert record.t_star == pair.detect(times=times).t_star
+        first = int(np.searchsorted(times, record.t_star))
+        for recorder in (hot, cold):
+            grid, *bisection = recorder.calls
+            assert grid is times
+            assert bisection and all(np.ndim(t) == 0 for t in bisection)
+            assert all(times[first - 1] <= t <= times[first] for t in bisection)
+
     def test_array_input_reports_grid_point(self, canonical_pair):
         times = np.linspace(0.0, 5.0, 2001)
         hot = np.array([canonical_pair.hot_population(t) for t in times])
@@ -201,6 +242,20 @@ class TestHierarchyReport:
         report = theorem_hierarchy_check(canonical_pair, None, np.linspace(0, 5, 10))
         assert not report.applicable
         assert not report.all_hold
+
+    def test_each_curve_is_one_array_call(self, ladder_pair):
+        class Probe:
+            hot_fisher = Recorder(ladder_pair.hot_fisher)
+            cold_fisher = Recorder(ladder_pair.cold_fisher)
+            equilibrium_fisher = ladder_pair.equilibrium_fisher
+
+        grid = np.linspace(0.0, 8.0, 50)
+        report = theorem_hierarchy_check(Probe, T_STAR_LADDER, grid)
+        for recorder in (Probe.hot_fisher, Probe.cold_fisher):
+            assert len(recorder.calls) == 1
+            assert np.array_equal(recorder.calls[0], report.times)
+        expected = [ladder_pair.hot_fisher(t) > ladder_pair.cold_fisher(t) for t in report.times]
+        assert report.hot_gt_cold.tolist() == expected
 
     def test_canonical_case_orderings(self, canonical_pair):
         grid = np.linspace(0.0, 8.0, 200)

@@ -182,3 +182,31 @@ def test_bose_occupation_high_temperature_expansion():
     # n_bar -> T / omega0 - 1/2 + O(omega0/T)
     n = bose_occupation(1.0, 200.0)
     assert n == pytest.approx(200.0 - 0.5, abs=1e-2)
+
+
+class TestTimeArrays:
+    """The closed forms over a time array, against the float calls as oracle."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p0=st.floats(0.0, 1.0),
+        times=st.lists(st.floats(0.0, 40.0), max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_entries_equal_float_calls_bit_for_bit(self, seed, p0, times):
+        params = random_qubit(np.random.default_rng(seed))
+        grid = np.array([0.0, *times])
+        for fn in (evolve_population, dT_population):
+            expected = np.array([fn(params, p0, t) for t in grid.tolist()])
+            assert fn(params, p0, grid).tobytes() == expected.tobytes()
+
+    def test_float_calls_stay_python_floats(self, canonical_params):
+        # the per-cell callers (protocol) keep the math-only float path
+        assert type(evolve_population(canonical_params, P0_HOT, 1.0)) is float
+        assert type(dT_population(canonical_params, P0_HOT, 1.0)) is float
+
+    def test_negative_time_in_array_rejected(self, canonical_params):
+        grid = np.array([0.0, 1.0, -1e-9])
+        for fn in (evolve_population, dT_population):
+            with pytest.raises(ValueError, match="non-negative"):
+                fn(canonical_params, P0_HOT, grid)

@@ -4,6 +4,8 @@ against the independent integrator / finite-difference oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpemba_thermometry import (
     build_lambda_rate_matrix,
@@ -258,3 +260,38 @@ class TestTemperatureResponse:
             assert (
                 np.max(np.abs(der.d_eigenvalues - fd.d_eigenvalues)) / scale < 1e-6
             )
+
+
+class TestTimeArrays:
+    """dT_populations_modal over a time array, against one float call per time."""
+
+    @given(seed=st.integers(0, 2**32 - 1), times=st.lists(st.floats(0.0, 30.0), max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_float_calls(self, seed, times):
+        rng = np.random.default_rng(seed)
+        matrix = random_ladder(rng)
+        dec = decompose(matrix)
+        der = temperature_derivatives(matrix, dec)
+        amps = amplitudes_with_derivatives(dec, der, random_preparation(rng, dec.stationary))
+        grid = np.array([0.0, *times])
+        rows = dT_populations_modal(dec, amps, der, grid)
+        assert rows.shape == (grid.size, 3)
+        a, da = amps.amplitudes[1:], amps.dT_amplitudes[1:]
+        for t, row in zip(grid.tolist(), rows):
+            single = dT_populations_modal(dec, amps, der, t)
+            # the row's scale is the size of the terms it sums; at t = 0 they
+            # cancel to rounding, so the value itself is no scale
+            decay = np.exp(-dec.eigenvalues[1:] * t)
+            modal = (da - a * t * der.d_eigenvalues[1:]) * decay
+            scale = (
+                np.abs(der.d_stationary).max()
+                + np.abs(dec.right_modes).max() * np.abs(modal).sum()
+                + np.abs(der.d_right_modes).max() * np.abs(a * decay).sum()
+            )
+            assert np.max(np.abs(row - single)) <= 1e-14 * scale
+
+    def test_negative_time_in_array_rejected(self, ladder, ladder_spectrum):
+        der = temperature_derivatives(ladder, ladder_spectrum)
+        amps = amplitudes_with_derivatives(ladder_spectrum, der, LADDER_HOT)
+        with pytest.raises(ValueError, match="non-negative"):
+            dT_populations_modal(ladder_spectrum, amps, der, np.array([0.0, -1e-3]))
