@@ -50,7 +50,6 @@ from .spectral import (
     build_qubit_rate_matrix,
     decompose,
     dT_populations_modal,
-    evolve_modal,
     gibbs_vector,
     modal_trajectory,
     project_initial,
@@ -83,7 +82,6 @@ __all__ = [
     "temperature_derivatives",
     "dT_populations_modal",
     "project_initial",
-    "evolve_modal",
     "modal_trajectory",
     "DivergentFisherError",
     "fisher_from_populations",

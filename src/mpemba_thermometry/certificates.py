@@ -27,12 +27,7 @@ import numpy as np
 from . import qubit as qb
 from .instances import LambdaPair, QubitPair
 from .mpemba import HierarchyReport, InversionRecord, theorem_hierarchy_check
-from .spectral import (
-    ModalAmplitudes,
-    SpectralDecomposition,
-    SpectralDerivatives,
-    dT_populations_modal,
-)
+from .spectral import ModalAmplitudes, SpectralDecomposition, SpectralDerivatives
 
 __all__ = [
     "LemmaConstants",
@@ -48,13 +43,6 @@ __all__ = [
     "slow_mode_split",
     "verify_theorem",
 ]
-
-
-def _require_multilevel(decomposition: SpectralDecomposition) -> None:
-    if decomposition.dim < 3:
-        raise ValueError(
-            f"modal certificates need at least 3 levels, got {decomposition.dim}"
-        )
 
 
 @dataclass(frozen=True)
@@ -125,17 +113,31 @@ class Lemma2Certificate:
     amp_bound_slack: float
 
 
-def compute_lemma_constants(
+def _check_certifiable(
+    decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, t: float = 0.0
+) -> None:
+    if decomposition.dim < 3:
+        raise ValueError(
+            f"modal certificates need at least 3 levels, got {decomposition.dim}"
+        )
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    if amplitudes.dT_amplitudes is None:
+        raise ValueError("amplitudes carry no dT_amplitudes")
+
+
+def _instance_constants(
     decomposition: SpectralDecomposition,
     derivatives: SpectralDerivatives,
     amplitudes: ModalAmplitudes,
     t: float,
-    neighborhood: np.ndarray,
-) -> LemmaConstants:
-    """Assemble every bounding constant for one instance at evaluation time t."""
-    _require_multilevel(decomposition)
-    if amplitudes.dT_amplitudes is None:
-        raise ValueError("amplitudes carry no dT_amplitudes")
+) -> dict[str, float]:
+    """Every bounding constant of one instance at time t, computed in one place.
+
+    The keys are the :class:`LemmaConstants` fields except m_low and m_high
+    (which need a neighbourhood), plus the pieces the lemmas combine: c_r1,
+    c_r2, w2_norm, delta_norm (||p0 - pi||) and d_pi_norm (||dT pi||).
+    """
     n = decomposition.dim
     lam = decomposition.eigenvalues
     right = decomposition.right_modes
@@ -145,58 +147,66 @@ def compute_lemma_constants(
     a_max = float(np.max(np.abs(a[1:])))
     v_max = float(np.max(np.linalg.norm(right[:, 1:], axis=0)))
     v_prime_max = float(np.max(np.linalg.norm(derivatives.d_right_modes[:, 1:], axis=0)))
-    gap_delta = float(lam[2] - lam[1])
-    lambda_max = float(lam[-1])
     lambda_t = float(np.max(np.abs(derivatives.d_eigenvalues[2:])))
-    r_t = float(np.linalg.norm(derivatives.d_rate_matrix, ord=2))
     w_op_norm = float(np.linalg.norm(left[:, 1:].T, ord=2))
-    v_op_norm = float(np.linalg.norm(right[:, 1:], ord=2))
 
-    delta = right[:, 1:] @ a[1:]
-    delta_norm = float(np.linalg.norm(delta))
+    delta_norm = float(np.linalg.norm(right[:, 1:] @ a[1:]))
     d_pi_norm = float(np.linalg.norm(derivatives.d_stationary))
     max_dw = float(np.max(np.linalg.norm(derivatives.d_left_modes[:, 1:], axis=0)))
     c1 = max_dw * delta_norm + w_op_norm * d_pi_norm
-
     c_r1 = v_max * (n - 2) * c1 + v_max * t * lambda_t * (n - 2) * a_max
     c_r2 = (n - 1) * a_max * v_prime_max
-    c_r = max(c_r1, c_r2 / a_max) if a_max > 1e-300 else c_r1
 
-    slow = 1  # slow decaying mode index
+    # perturbation sums of the slow mode (index 1), stationary mode included
     w_norms = np.linalg.norm(left, axis=0)
     v_norms = np.linalg.norm(right, axis=0)
-    others = [j for j in range(n) if j != slow]
-    gaps = lam[others] - lam[slow]
-    d2 = float(np.sqrt(np.sum((w_norms[others] / gaps) ** 2)))
-    e2 = float(np.sqrt(np.sum((v_norms[others] / gaps) ** 2)))
-    w_norm = float(np.sqrt(np.sum(w_norms[others] ** 2)))
+    others = [j for j in range(n) if j != 1]
+    gaps = lam[others] - lam[1]
+    return {
+        "a_max": a_max,
+        "v_max": v_max,
+        "v_prime_max": v_prime_max,
+        "gap_delta": float(lam[2] - lam[1]),
+        "lambda_max": float(lam[-1]),
+        "lambda_t": lambda_t,
+        "r_t": float(np.linalg.norm(derivatives.d_rate_matrix, ord=2)),
+        "c1": c1,
+        "c_r": max(c_r1, c_r2 / a_max) if a_max > 1e-300 else c_r1,
+        "w_norm": float(np.sqrt(np.sum(w_norms[others] ** 2))),
+        "d2": float(np.sqrt(np.sum((w_norms[others] / gaps) ** 2))),
+        "e2": float(np.sqrt(np.sum((v_norms[others] / gaps) ** 2))),
+        "w_op_norm": w_op_norm,
+        "v_op_norm": float(np.linalg.norm(right[:, 1:], ord=2)),
+        "c_r1": c_r1,
+        "c_r2": c_r2,
+        "w2_norm": float(w_norms[1]),
+        "delta_norm": delta_norm,
+        "d_pi_norm": d_pi_norm,
+    }
 
+
+def compute_lemma_constants(
+    decomposition: SpectralDecomposition,
+    derivatives: SpectralDerivatives,
+    amplitudes: ModalAmplitudes,
+    t: float,
+    neighborhood: np.ndarray,
+) -> LemmaConstants:
+    """Assemble every bounding constant for one instance at evaluation time t."""
+    _check_certifiable(decomposition, amplitudes)
+    c = _instance_constants(decomposition, derivatives, amplitudes, t)
     m_low, m_high = lemma3_metric_bounds(neighborhood)
-
     constants = LemmaConstants(
-        a_max=a_max,
-        v_max=v_max,
-        v_prime_max=v_prime_max,
-        gap_delta=gap_delta,
-        lambda_max=lambda_max,
-        lambda_t=lambda_t,
-        r_t=r_t,
-        c1=c1,
-        c_r=c_r,
-        w_norm=w_norm,
-        d2=d2,
-        e2=e2,
+        **{f.name: c[f.name] for f in fields(LemmaConstants) if f.name in c},
         m_low=m_low,
         m_high=m_high,
-        w_op_norm=w_op_norm,
-        v_op_norm=v_op_norm,
     )
     for f in fields(constants):
         value = getattr(constants, f.name)
         if not math.isfinite(value):
             raise ValueError(f"lemma constant {f.name} is not finite: {value}")
-    if gap_delta <= 0:
-        raise ValueError(f"spectral gap lambda_3 - lambda_2 = {gap_delta} is not positive")
+    if c["gap_delta"] <= 0:
+        raise ValueError(f"spectral gap lambda_3 - lambda_2 = {c['gap_delta']} is not positive")
     return constants
 
 
@@ -206,17 +216,38 @@ def _modal_remainder(
     derivatives: SpectralDerivatives,
     t: float,
 ) -> np.ndarray:
-    """R(t): everything in dT p(t) beyond dT pi and the slow-mode term."""
+    """R(t): everything in dT p(t) beyond dT pi and the slow-mode term.
+
+    R(t) = sum_{k>=3} (dT a_k - a_k t dT lambda_k) e^{-lambda_k t} v_k
+           + sum_{k>=2} a_k e^{-lambda_k t} dT v_k
+    """
     a = amplitudes.amplitudes
     da = amplitudes.dT_amplitudes
-    lam = decomposition.eigenvalues
-    decay = np.exp(-lam * t)
-    out = np.zeros(decomposition.dim)
-    for k in range(2, decomposition.dim):
-        out += (da[k] - a[k] * t * derivatives.d_eigenvalues[k]) * decay[k] * decomposition.right_modes[:, k]
-    for k in range(1, decomposition.dim):
-        out += a[k] * decay[k] * derivatives.d_right_modes[:, k]
-    return out
+    decay = np.exp(-decomposition.eigenvalues * t)
+    fast = (da[2:] - a[2:] * t * derivatives.d_eigenvalues[2:]) * decay[2:]
+    return (
+        decomposition.right_modes[:, 2:] @ fast
+        + derivatives.d_right_modes[:, 1:] @ (a[1:] * decay[1:])
+    )
+
+
+def _slow_mode_sensitivity(
+    decomposition: SpectralDecomposition,
+    amplitudes: ModalAmplitudes,
+    derivatives: SpectralDerivatives,
+    t: float,
+) -> SlowModeSensitivity:
+    a2 = float(amplitudes.amplitudes[1])
+    da2 = float(amplitudes.dT_amplitudes[1])
+    dlam2 = float(derivatives.d_eigenvalues[1])
+    envelope = math.exp(-float(decomposition.eigenvalues[1]) * t)
+    return SlowModeSensitivity(
+        s_of_t=(da2 - a2 * t * dlam2) * envelope,
+        b_of_t=(abs(da2) + abs(a2 * dlam2)) * envelope,
+        a2=a2,
+        dT_a2=da2,
+        dT_lambda2=dlam2,
+    )
 
 
 def lemma1_remainder_check(
@@ -231,36 +262,17 @@ def lemma1_remainder_check(
                    <= A_max V_max (N-2) e^{-lambda_3 t}
     Remainder:   || R(t) || <= C_R1(t) e^{-lambda_3 t} + C_R2 e^{-lambda_2 t}
     """
-    _require_multilevel(decomposition)
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if amplitudes.dT_amplitudes is None:
-        raise ValueError("amplitudes carry no dT_amplitudes")
-    n = decomposition.dim
-    lam = decomposition.eigenvalues
-    a = amplitudes.amplitudes
-    decay = np.exp(-lam * t)
+    _check_certifiable(decomposition, amplitudes, t)
+    c = _instance_constants(decomposition, derivatives, amplitudes, t)
+    decay = np.exp(-decomposition.eigenvalues * t)
 
-    fast = decomposition.right_modes[:, 2:] @ (a[2:] * decay[2:])
+    fast = decomposition.right_modes[:, 2:] @ (amplitudes.amplitudes[2:] * decay[2:])
     fast_lhs = float(np.linalg.norm(fast))
-    a_max = float(np.max(np.abs(a[1:])))
-    v_max = float(np.max(np.linalg.norm(decomposition.right_modes[:, 1:], axis=0)))
-    fast_rhs = a_max * v_max * (n - 2) * float(decay[2])
+    fast_rhs = c["a_max"] * c["v_max"] * (decomposition.dim - 2) * float(decay[2])
 
     remainder = _modal_remainder(decomposition, amplitudes, derivatives, t)
     remainder_lhs = float(np.linalg.norm(remainder))
-
-    delta = decomposition.right_modes[:, 1:] @ a[1:]
-    max_dw = float(np.max(np.linalg.norm(derivatives.d_left_modes[:, 1:], axis=0)))
-    w_op = float(np.linalg.norm(decomposition.left_modes[:, 1:].T, ord=2))
-    c1 = max_dw * float(np.linalg.norm(delta)) + w_op * float(
-        np.linalg.norm(derivatives.d_stationary)
-    )
-    lambda_t = float(np.max(np.abs(derivatives.d_eigenvalues[2:])))
-    v_prime_max = float(np.max(np.linalg.norm(derivatives.d_right_modes[:, 1:], axis=0)))
-    c_r1 = v_max * (n - 2) * c1 + v_max * t * lambda_t * (n - 2) * a_max
-    c_r2 = (n - 1) * a_max * v_prime_max
-    remainder_rhs = c_r1 * float(decay[2]) + c_r2 * float(decay[1])
+    remainder_rhs = c["c_r1"] * float(decay[2]) + c["c_r2"] * float(decay[1])
 
     return Lemma1Certificate(
         t=t,
@@ -288,39 +300,18 @@ def lemma2_slow_mode(
         |S(t)| >= t |a_2| |dT lambda_2| e^{-lambda_2 t} - B(t)
         |dT a_2| <= R_T ||w_2|| E_2 W_norm ||p0 - pi|| + ||w_2|| ||dT pi||
     """
-    _require_multilevel(decomposition)
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if amplitudes.dT_amplitudes is None:
-        raise ValueError("amplitudes carry no dT_amplitudes")
-    lam2 = float(decomposition.eigenvalues[1])
-    a2 = float(amplitudes.amplitudes[1])
-    da2 = float(amplitudes.dT_amplitudes[1])
-    dlam2 = float(derivatives.d_eigenvalues[1])
-    envelope = math.exp(-lam2 * t)
-    s_of_t = (da2 - a2 * t * dlam2) * envelope
-    b_of_t = (abs(da2) + abs(a2 * dlam2)) * envelope
-    sensitivity = SlowModeSensitivity(
-        s_of_t=s_of_t, b_of_t=b_of_t, a2=a2, dT_a2=da2, dT_lambda2=dlam2
-    )
+    _check_certifiable(decomposition, amplitudes, t)
+    sensitivity = _slow_mode_sensitivity(decomposition, amplitudes, derivatives, t)
+    a2, dlam2 = sensitivity.a2, sensitivity.dT_lambda2
+    envelope = math.exp(-float(decomposition.eigenvalues[1]) * t)
+    triangle_rhs = t * abs(a2) * abs(dlam2) * envelope - sensitivity.b_of_t
+    triangle_lhs = abs(sensitivity.s_of_t)
 
-    triangle_rhs = t * abs(a2) * abs(dlam2) * envelope - b_of_t
-    triangle_lhs = abs(s_of_t)
-
-    n = decomposition.dim
-    lam = decomposition.eigenvalues
-    v_norms = np.linalg.norm(decomposition.right_modes, axis=0)
-    w_norms = np.linalg.norm(decomposition.left_modes, axis=0)
-    others = [j for j in range(n) if j != 1]
-    gaps = lam[others] - lam[1]
-    e2 = float(np.sqrt(np.sum((v_norms[others] / gaps) ** 2)))
-    w_norm = float(np.sqrt(np.sum(w_norms[others] ** 2)))
-    r_t = float(np.linalg.norm(derivatives.d_rate_matrix, ord=2))
-    w2_norm = float(w_norms[1])
-    delta = decomposition.right_modes[:, 1:] @ amplitudes.amplitudes[1:]
+    c = _instance_constants(decomposition, derivatives, amplitudes, t)
+    amp_bound_lhs = abs(sensitivity.dT_a2)
     amp_bound_rhs = (
-        r_t * w2_norm * e2 * w_norm * float(np.linalg.norm(delta))
-        + w2_norm * float(np.linalg.norm(derivatives.d_stationary))
+        c["r_t"] * c["w2_norm"] * c["e2"] * c["w_norm"] * c["delta_norm"]
+        + c["w2_norm"] * c["d_pi_norm"]
     )
     return Lemma2Certificate(
         t=t,
@@ -328,9 +319,9 @@ def lemma2_slow_mode(
         triangle_lhs=triangle_lhs,
         triangle_rhs=triangle_rhs,
         triangle_slack=triangle_lhs - triangle_rhs,
-        amp_bound_lhs=abs(da2),
+        amp_bound_lhs=amp_bound_lhs,
         amp_bound_rhs=amp_bound_rhs,
-        amp_bound_slack=amp_bound_rhs - abs(da2),
+        amp_bound_slack=amp_bound_rhs - amp_bound_lhs,
     )
 
 
@@ -387,17 +378,13 @@ def slow_mode_split(
 ) -> tuple[float, np.ndarray]:
     """Split dT p(t) = dT pi + S(t) v_2 + R(t); returns (S(t), R(t)).
 
-    The split is exact: reassembling the three pieces reproduces
-    :func:`~mpemba_thermometry.spectral.dT_populations_modal` to rounding.
+    Both pieces come from their own modal sums, so reassembling the three
+    reproduces :func:`~mpemba_thermometry.spectral.dT_populations_modal` to
+    rounding as an identity of the perturbation route, not by construction.
     """
-    cert = lemma2_slow_mode(decomposition, amplitudes, derivatives, t)
-    total = dT_populations_modal(decomposition, amplitudes, derivatives, t)
-    remainder = (
-        total
-        - derivatives.d_stationary
-        - cert.sensitivity.s_of_t * decomposition.right_modes[:, 1]
-    )
-    return cert.sensitivity.s_of_t, remainder
+    _check_certifiable(decomposition, amplitudes, t)
+    sensitivity = _slow_mode_sensitivity(decomposition, amplitudes, derivatives, t)
+    return sensitivity.s_of_t, _modal_remainder(decomposition, amplitudes, derivatives, t)
 
 
 @dataclass(frozen=True)

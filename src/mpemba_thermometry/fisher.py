@@ -17,14 +17,13 @@ from .qubit import (
     QubitBathParams,
     _check_times,
     _decay,
+    _dT_gibbs,
+    _dT_rate,
+    _rate,
     dT_gibbs,
-    dT_rate,
-    effective_rate,
-    evolve_population,
     gibbs_population_qubit,
     thermal_quantities,
 )
-from .spectral import PopulationVector
 
 __all__ = [
     "DivergentFisherError",
@@ -57,8 +56,6 @@ def fisher_from_populations(populations, d_populations):
     raises what the single-vector call on it would raise, and levels are
     summed in level order, so a row's value equals that call bit for bit.
     """
-    if isinstance(populations, PopulationVector):
-        populations = populations.populations
     p = np.asarray(populations, dtype=float)
     dp = np.asarray(d_populations, dtype=float)
     if p.shape != dp.shape:
@@ -118,11 +115,11 @@ def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t):
     """
     t = _check_times(t)
     q = thermal_quantities(params)
-    rate = effective_rate(params, p0)
-    d_rate = dT_rate(params, p0)
-    d_peq = dT_gibbs(params.omega0, params.temperature)
+    rate = _rate(params, p0, q)
+    d_rate = _dT_rate(params, p0, q)
+    d_peq = _dT_gibbs(params, q)
     decay = _decay(rate, t)
-    p_t = evolve_population(params, p0, t)
+    p_t = q.p_eq + (p0 - q.p_eq) * decay  # evolve_population's expression and bits
     variance = p_t * (1.0 - p_t)
     if isinstance(t, np.ndarray):
         low = np.flatnonzero(variance < _POPULATION_FLOOR)
@@ -166,9 +163,9 @@ def qfi_short_time(params: QubitBathParams, p0: float, t: float) -> float:
     if variance < _POPULATION_FLOOR:
         raise DivergentFisherError(f"preparation p0={p0} is deterministic")
     q = thermal_quantities(params)
-    rate = effective_rate(params, p0)
-    d_rate = dT_rate(params, p0)
-    d_peq = dT_gibbs(params.omega0, params.temperature)
+    rate = _rate(params, p0, q)
+    d_rate = _dT_rate(params, p0, q)
+    d_peq = _dT_gibbs(params, q)
     slope = d_peq * rate - (p0 - q.p_eq) * d_rate
     return slope**2 * t**2 / variance
 

@@ -187,12 +187,11 @@ def make_lambda_pair(
     rate_matrix: RateMatrix,
     p_hot: Sequence[float] | np.ndarray,
     p_cold: Sequence[float] | np.ndarray,
-    h: float | None = None,
     norm_kind: str = "euclidean",
 ) -> LambdaPair:
     """Decompose once and bundle both preparations with their sensitivities."""
     decomposition = decompose(rate_matrix)
-    derivatives = temperature_derivatives(rate_matrix, decomposition, h)
+    derivatives = temperature_derivatives(rate_matrix, decomposition)
     p_hot = np.asarray(p_hot, dtype=float)
     p_cold = np.asarray(p_cold, dtype=float)
     amps_hot = amplitudes_with_derivatives(decomposition, derivatives, p_hot)

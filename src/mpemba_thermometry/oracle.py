@@ -5,8 +5,8 @@ the rest of the package, so that agreement between an analytic result and its
 oracle value is evidence rather than tautology.  Keep it that way: no imports
 from the model modules, no exponential-decay shortcuts on the solution side.
 
-These routines are consumed by the test suite and by explicit cross-checks;
-they are not a production dependency of the model code.
+These routines serve the test suite, explicit cross-checks and the
+finite-difference spectrum oracle in :mod:`.spectral`; no model result uses them.
 """
 
 from __future__ import annotations

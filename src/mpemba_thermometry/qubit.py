@@ -14,9 +14,10 @@ temperature derivatives, which are written in overflow-safe factorized form:
     dT nbar   = (omega0 / T^2) nbar (1 + nbar)
 
 The time-dependent closed forms take ``t`` as a float or as a 1-D array (one
-value per time).  The thermal quantities and rates are computed once per call
-and the decay factor uses ``math.exp`` per element, so each array entry equals
-the float call at that time bit for bit.
+value per time).  The thermal quantities are computed once per public call,
+the rates and slopes are derived from them, and the decay factor uses
+``math.exp`` per element, so each array entry equals the float call at that
+time bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "UnphysicalRateError",
     "QubitBathParams",
     "ThermalQuantities",
-    "QubitTrajectoryPoint",
     "bose_occupation",
     "gibbs_population_qubit",
     "thermal_quantities",
@@ -90,13 +90,6 @@ class ThermalQuantities:
     gamma0: float
 
 
-@dataclass(frozen=True)
-class QubitTrajectoryPoint:
-    time: float
-    population: float
-    dT_population: float
-
-
 def _cold(omega0: float, temperature: float) -> bool:
     if omega0 / temperature > COLD_CUTOFF:
         warnings.warn(
@@ -141,10 +134,8 @@ def _check_population(name: str, p: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
 
-def effective_rate(params: QubitBathParams, p0: float) -> float:
-    """Preparation-dependent rate Gamma0 * (1 + alpha * (p0 - p_eq))."""
+def _rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:
     _check_population("p0", p0)
-    q = thermal_quantities(params)
     rate = q.gamma0 * (1.0 + params.alpha * (p0 - q.p_eq))
     if rate <= 0.0:
         raise UnphysicalRateError(
@@ -152,6 +143,11 @@ def effective_rate(params: QubitBathParams, p0: float) -> float:
             f"p0={p0}, p_eq={q.p_eq:.6g})"
         )
     return rate
+
+
+def effective_rate(params: QubitBathParams, p0: float) -> float:
+    """Preparation-dependent rate Gamma0 * (1 + alpha * (p0 - p_eq))."""
+    return _rate(params, p0, thermal_quantities(params))
 
 
 def _check_times(t):
@@ -178,9 +174,8 @@ def _decay(rate: float, t):
 def evolve_population(params: QubitBathParams, p0: float, t):
     """Exact solution p(t) = p_eq + (p0 - p_eq) exp(-Gamma t); ``t`` a float or 1-D array."""
     t = _check_times(t)
-    rate = effective_rate(params, p0)
     q = thermal_quantities(params)
-    return q.p_eq + (p0 - q.p_eq) * _decay(rate, t)
+    return q.p_eq + (p0 - q.p_eq) * _decay(_rate(params, p0, q), t)
 
 
 def relaxation_rhs(params: QubitBathParams, p0: float):
@@ -190,8 +185,9 @@ def relaxation_rhs(params: QubitBathParams, p0: float):
     used throughout: the anomalous dependence enters through the preparation,
     not through the instantaneous state.
     """
-    rate = effective_rate(params, p0)
-    p_eq = gibbs_population_qubit(params.omega0, params.temperature)
+    q = thermal_quantities(params)
+    rate = _rate(params, p0, q)
+    p_eq = q.p_eq
 
     def rhs(t: float, p: float) -> float:
         return -rate * (p - p_eq)
@@ -211,6 +207,20 @@ def dT_bose(omega0: float, temperature: float) -> float:
     return (omega0 / temperature**2) * n_bar * (1.0 + n_bar)
 
 
+def _dT_gibbs(params: QubitBathParams, q: ThermalQuantities) -> float:
+    # the float operations of dT_gibbs, on the precomputed p_eq
+    return (params.omega0 / params.temperature**2) * q.p_eq * (1.0 - q.p_eq)
+
+
+def _dT_rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:
+    _check_population("p0", p0)
+    # the float operations of dT_bose, on the precomputed nbar
+    d_nbar = (params.omega0 / params.temperature**2) * q.n_bar * (1.0 + q.n_bar)
+    d_gamma0 = 2.0 * params.gamma * d_nbar
+    d_peq = _dT_gibbs(params, q)
+    return d_gamma0 * (1.0 + params.alpha * (p0 - q.p_eq)) - params.alpha * q.gamma0 * d_peq
+
+
 def dT_rate(params: QubitBathParams, p0: float) -> float:
     """Temperature derivative of the effective rate at fixed preparation.
 
@@ -218,11 +228,7 @@ def dT_rate(params: QubitBathParams, p0: float) -> float:
     the second term is the anomalous contribution (p0 is held fixed while the
     equilibrium point moves with T).
     """
-    _check_population("p0", p0)
-    q = thermal_quantities(params)
-    d_gamma0 = 2.0 * params.gamma * dT_bose(params.omega0, params.temperature)
-    d_peq = dT_gibbs(params.omega0, params.temperature)
-    return d_gamma0 * (1.0 + params.alpha * (p0 - q.p_eq)) - params.alpha * q.gamma0 * d_peq
+    return _dT_rate(params, p0, thermal_quantities(params))
 
 
 def dT_population(params: QubitBathParams, p0: float, t):
@@ -232,16 +238,7 @@ def dT_population(params: QubitBathParams, p0: float, t):
     with ``t`` a float or a 1-D array.
     """
     t = _check_times(t)
-    rate = effective_rate(params, p0)
     q = thermal_quantities(params)
-    d_peq = dT_gibbs(params.omega0, params.temperature)
-    decay = _decay(rate, t)
-    return d_peq * (1.0 - decay) - (p0 - q.p_eq) * t * decay * dT_rate(params, p0)
-
-
-def trajectory_point(params: QubitBathParams, p0: float, t: float) -> QubitTrajectoryPoint:
-    return QubitTrajectoryPoint(
-        time=t,
-        population=evolve_population(params, p0, t),
-        dT_population=dT_population(params, p0, t),
-    )
+    decay = _decay(_rate(params, p0, q), t)
+    d_peq = _dT_gibbs(params, q)
+    return d_peq * (1.0 - decay) - (p0 - q.p_eq) * t * decay * _dT_rate(params, p0, q)

@@ -19,7 +19,15 @@ constant-overlap gauge (w_k . dT v_k = 0 and dT w_k . v_k = 0):
     dT w_k      = sum_{j != k} [w_k . (dT R) v_j / (lambda_j - lambda_k)] w_j
 
 (The k = 1 row of the second formula reproduces dT pi, which is forced by
-R pi = 0 and serves as an internal consistency check.)
+R pi = 0 and serves as an internal consistency check.)  With the overlap
+matrix O[j, k] = w_j . (dT R) v_k and the gap matrix G[j, k] =
+1 / (lambda_j - lambda_k) (zero on the diagonal) the two sums are the matrix
+products W (G * O) and V (G * O^T).
+
+dT R itself is exact: the generator builders write it next to R from the
+closed-form dT nbar.  Finite differences appear only in
+:func:`finite_difference_spectrum`, the oracle the perturbation route is
+checked against.
 
 A note on the three-level ladder in its symmetric configuration (degenerate
 lower doublet, equal couplings kappa): direct diagonalization gives nonzero
@@ -36,7 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .qubit import bose_occupation
+from .oracle import finite_difference_dT
+from .qubit import bose_occupation, dT_bose
 
 __all__ = [
     "RateMatrixError",
@@ -47,7 +56,6 @@ __all__ = [
     "SpectralDecomposition",
     "SpectralDerivatives",
     "ModalAmplitudes",
-    "PopulationVector",
     "gibbs_vector",
     "dT_gibbs_vector",
     "build_qubit_rate_matrix",
@@ -55,9 +63,7 @@ __all__ = [
     "validate_rate_matrix",
     "decompose",
     "project_initial",
-    "evolve_modal",
     "modal_trajectory",
-    "dT_rate_matrix",
     "temperature_derivatives",
     "dT_amplitudes",
     "amplitudes_with_derivatives",
@@ -89,8 +95,9 @@ class SimplexError(ValueError):
 class RateMatrix:
     """Generator entries plus the physical data they were built from.
 
-    ``family`` maps a temperature to the same physical model's generator and
-    enables temperature differentiation; it is None for matrices supplied
+    ``d_entries`` is the exact dT R in the layout of ``entries``, and
+    ``family`` maps a temperature to the same physical model's generator (the
+    finite-difference oracle's input); both are None for matrices supplied
     without provenance.
     """
 
@@ -99,6 +106,7 @@ class RateMatrix:
     couplings: np.ndarray
     temperature: float
     family: Callable[[float], "RateMatrix"] | None = field(default=None, repr=False)
+    d_entries: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -142,13 +150,6 @@ class ModalAmplitudes:
     dT_amplitudes: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class PopulationVector:
-    populations: np.ndarray
-    time: float
-    clamped: bool = False
-
-
 def gibbs_vector(energies: np.ndarray, temperature: float) -> np.ndarray:
     """Normalized Boltzmann weights exp(-E_i / T), overflow-safe."""
     if temperature <= 0:
@@ -169,16 +170,19 @@ def dT_gibbs_vector(energies: np.ndarray, temperature: float) -> np.ndarray:
 
 def build_qubit_rate_matrix(omega0: float, gamma: float, temperature: float) -> RateMatrix:
     """Two-level generator with raising rate gamma*nbar, lowering gamma*(nbar+1)."""
-    n_bar = bose_occupation(omega0, temperature)
-    up = gamma * n_bar
-    down = gamma * (n_bar + 1.0)
-    entries = np.array([[-up, down], [up, -down]])
+
+    def layout(n: float, one: float) -> np.ndarray:
+        up = gamma * n
+        down = gamma * (n + one)
+        return np.array([[-up, down], [up, -down]])
+
     return RateMatrix(
-        entries=entries,
+        entries=layout(bose_occupation(omega0, temperature), 1.0),
         energies=np.array([0.0, omega0]),
         couplings=np.array([gamma]),
         temperature=temperature,
         family=lambda t: build_qubit_rate_matrix(omega0, gamma, t),
+        d_entries=layout(dT_bose(omega0, temperature), 0.0),
     )
 
 
@@ -194,32 +198,37 @@ def build_lambda_rate_matrix(
 
     Excitation i -> 3 proceeds at kappa_i * nbar(e3 - e_i) and decay 3 -> i at
     kappa_i * (nbar(e3 - e_i) + 1); there is no direct 1 <-> 2 channel.  The
-    column-sum-zero layout makes conservation exact by construction.
+    column-sum-zero layout makes conservation exact by construction, for R
+    and for dT R (nbar -> dT nbar, the "+1" dropped) alike.
     """
     if e3 <= e1 or e3 <= e2:
         raise ValueError(f"top level must lie above both low levels, got ({e1}, {e2}, {e3})")
     for name, kappa in (("kappa1", kappa1), ("kappa2", kappa2)):
         if kappa <= 0:
             raise ValueError(f"{name} must be positive, got {kappa}")
-    n1 = bose_occupation(e3 - e1, temperature)
-    n2 = bose_occupation(e3 - e2, temperature)
-    up1 = kappa1 * n1
-    up2 = kappa2 * n2
-    down1 = kappa1 * (n1 + 1.0)
-    down2 = kappa2 * (n2 + 1.0)
-    entries = np.array(
-        [
-            [-up1, 0.0, down1],
-            [0.0, -up2, down2],
-            [up1, up2, -(down1 + down2)],
-        ]
-    )
+
+    def layout(n1: float, n2: float, one: float) -> np.ndarray:
+        up1 = kappa1 * n1
+        up2 = kappa2 * n2
+        down1 = kappa1 * (n1 + one)
+        down2 = kappa2 * (n2 + one)
+        return np.array(
+            [
+                [-up1, 0.0, down1],
+                [0.0, -up2, down2],
+                [up1, up2, -(down1 + down2)],
+            ]
+        )
+
     return RateMatrix(
-        entries=entries,
+        entries=layout(
+            bose_occupation(e3 - e1, temperature), bose_occupation(e3 - e2, temperature), 1.0
+        ),
         energies=np.array([e1, e2, e3]),
         couplings=np.array([kappa1, kappa2]),
         temperature=temperature,
         family=lambda t: build_lambda_rate_matrix(e1, e2, e3, kappa1, kappa2, t),
+        d_entries=layout(dT_bose(e3 - e1, temperature), dT_bose(e3 - e2, temperature), 0.0),
     )
 
 
@@ -329,29 +338,14 @@ def project_initial(decomposition: SpectralDecomposition, p0: np.ndarray) -> Mod
     return ModalAmplitudes(amplitudes=decomposition.left_modes.T @ delta)
 
 
-def evolve_modal(
-    decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, t: float
-) -> PopulationVector:
-    """p(t) = pi + sum_{k >= 2} a_k exp(-lambda_k t) v_k."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    a = amplitudes.amplitudes
-    decay = np.exp(-decomposition.eigenvalues[1:] * t)
-    p = decomposition.stationary + decomposition.right_modes[:, 1:] @ (a[1:] * decay)
-    low = float(p.min())
-    clamped = False
-    if low < -1e-12:
-        raise RateMatrixError(f"modal populations went negative by {low:.3g} at t={t:.6g}")
-    if low < 0.0:
-        p = np.where(p < 0.0, 0.0, p)
-        clamped = True
-    return PopulationVector(populations=p, time=t, clamped=clamped)
-
-
 def modal_trajectory(
     decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, times: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`evolve_modal` over a time grid; rows are populations."""
+    """p(t) = pi + sum_{k >= 2} a_k exp(-lambda_k t) v_k, one row per time.
+
+    Negative entries within 1e-12 of zero are clamped to 0; larger ones raise
+    :class:`RateMatrixError`.
+    """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
@@ -364,90 +358,33 @@ def modal_trajectory(
     return np.where(traj < 0.0, 0.0, traj)
 
 
-def dT_rate_matrix(rate_matrix: RateMatrix, h: float | None = None) -> np.ndarray:
-    """Entrywise dT R via step-halved central differences on the family.
-
-    Uses h = 1e-5 * T by default, answers with the half-step estimate, and
-    falls back to the Richardson extrapolant if the two stencils disagree by
-    more than 1e-4 in relative terms.
-    """
-    if rate_matrix.family is None:
-        raise ValueError("rate matrix carries no temperature family; cannot differentiate")
-    t0 = rate_matrix.temperature
-    if h is None:
-        h = 1e-5 * t0
-    if h <= 0 or h >= t0:
-        raise ValueError(f"step h={h} must lie in (0, temperature)")
-
-    def central(step: float) -> np.ndarray:
-        hi = rate_matrix.family(t0 + step).entries
-        lo = rate_matrix.family(t0 - step).entries
-        return (hi - lo) / (2.0 * step)
-
-    d_h = central(h)
-    d_h2 = central(0.5 * h)
-    ref = max(float(np.max(np.abs(d_h2))), 1e-300)
-    if float(np.max(np.abs(d_h - d_h2))) / ref > 1e-4:
-        return (4.0 * d_h2 - d_h) / 3.0
-    return d_h2
-
-
-def _perturbation_coefficients(
-    decomposition: SpectralDecomposition, d_r: np.ndarray
-) -> np.ndarray:
-    # overlap[j, k] = w_j . (dT R) v_k
-    return decomposition.left_modes.T @ d_r @ decomposition.right_modes
-
-
-def _dT_right_mode(
-    decomposition: SpectralDecomposition, overlap: np.ndarray, k: int
-) -> np.ndarray:
-    lam = decomposition.eigenvalues
-    out = np.zeros(decomposition.dim)
-    for j in range(decomposition.dim):
-        if j == k:
-            continue
-        gap = lam[j] - lam[k]
-        if abs(gap) < _GAP_FLOOR:
-            raise DegenerateSpectrumError(
-                f"cannot differentiate mode {k + 1}: gap to mode {j + 1} is {gap:.3g}"
-            )
-        out += (overlap[j, k] / gap) * decomposition.right_modes[:, j]
-    return out
-
-
-def _dT_left_mode(
-    decomposition: SpectralDecomposition, overlap: np.ndarray, k: int
-) -> np.ndarray:
-    lam = decomposition.eigenvalues
-    out = np.zeros(decomposition.dim)
-    for j in range(decomposition.dim):
-        if j == k:
-            continue
-        gap = lam[j] - lam[k]
-        if abs(gap) < _GAP_FLOOR:
-            raise DegenerateSpectrumError(
-                f"cannot differentiate mode {k + 1}: gap to mode {j + 1} is {gap:.3g}"
-            )
-        out += (overlap[k, j] / gap) * decomposition.left_modes[:, j]
-    return out
-
-
 def temperature_derivatives(
-    rate_matrix: RateMatrix,
-    decomposition: SpectralDecomposition,
-    h: float | None = None,
+    rate_matrix: RateMatrix, decomposition: SpectralDecomposition
 ) -> SpectralDerivatives:
-    """All first-order temperature derivatives from a single dT R evaluation."""
-    d_r = dT_rate_matrix(rate_matrix, h)
-    overlap = _perturbation_coefficients(decomposition, d_r)
-    n = decomposition.dim
+    """All first-order temperature derivatives from the exact dT R.
+
+    Raises :class:`DegenerateSpectrumError` when two decay rates lie closer
+    than the gap floor, before any division by their gap.
+    """
+    d_r = rate_matrix.d_entries
+    if d_r is None:
+        raise ValueError("rate matrix carries no dT R (d_entries); cannot differentiate")
+    lam = decomposition.eigenvalues
+    gaps = lam[:, None] - lam[None, :]  # gaps[j, k] = lambda_j - lambda_k
+    off = ~np.eye(decomposition.dim, dtype=bool)
+    close = off & (np.abs(gaps) < _GAP_FLOOR)
+    if close.any():
+        j, k = np.argwhere(close)[0]
+        raise DegenerateSpectrumError(
+            f"cannot differentiate mode {k + 1}: gap to mode {j + 1} is {gaps[j, k]:.3g}"
+        )
+    inverse_gaps = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=off)
+    # overlap[j, k] = w_j . (dT R) v_k
+    overlap = decomposition.left_modes.T @ d_r @ decomposition.right_modes
     d_vals = -np.diag(overlap).copy()
     d_vals[0] = 0.0
-    d_right = np.column_stack(
-        [_dT_right_mode(decomposition, overlap, k) for k in range(n)]
-    )
-    d_left = np.column_stack([_dT_left_mode(decomposition, overlap, k) for k in range(n)])
+    d_right = decomposition.right_modes @ (inverse_gaps * overlap)
+    d_left = decomposition.left_modes @ (inverse_gaps * overlap.T)
     # The stationary mode has its own exact closed form; the k = 1 column of
     # the perturbation sum must (and does) agree with it, which the test suite
     # checks — but the closed form is what gets reported.
@@ -498,7 +435,9 @@ def dT_populations_modal(
 
     The value is gauge-invariant even though the two sums individually are not.
     ``t`` is a float (one vector) or a 1-D array (one row per time, as in
-    :func:`modal_trajectory`); a float is evaluated as a one-row grid.
+    :func:`modal_trajectory`); a float is evaluated as a one-row grid.  Rows at
+    t = 0 are exact zeros: the preparation is held fixed, so dT p(0) = 0, and
+    the modal sums would only return their rounding residue.
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
@@ -517,6 +456,7 @@ def dT_populations_modal(
         + modal @ decomposition.right_modes[:, 1:].T
         + (a * decay) @ derivatives.d_right_modes[:, 1:].T
     )
+    rows[column.ravel() == 0.0] = 0.0
     return rows if times.ndim else rows[0]
 
 
@@ -548,27 +488,27 @@ def match_modes(
 
 
 def finite_difference_spectrum(
-    rate_matrix: RateMatrix,
-    decomposition: SpectralDecomposition,
-    h: float | None = None,
+    rate_matrix: RateMatrix, decomposition: SpectralDecomposition
 ) -> SpectralDerivatives:
     """Finite-difference oracle for the perturbation formulas.
 
-    Decomposes the family at T +- h, identifies modes with the base
+    Decomposes the family at T +- h (h = 1e-5 T), identifies modes with the base
     decomposition, rescales them into the base's biorthonormal gauge
     (w_k(T) . v_k(T') = 1 for right modes, w_k(T') . v_k(T) = 1 for left
     ones — both agree with the constant-overlap gauge to O(h^2)), and takes
-    central differences.  Only the derivative fields are finite-difference;
-    eigenvalue-derivative entries come from matched eigenvalue differences.
+    central differences.  Eigenvalue-derivative entries come from matched
+    eigenvalue differences, and dT R from the step-halved central difference
+    of :func:`~mpemba_thermometry.oracle.finite_difference_dT` on the family's
+    entries.
     """
-    if rate_matrix.family is None:
+    family = rate_matrix.family
+    if family is None:
         raise ValueError("rate matrix carries no temperature family; cannot differentiate")
     t0 = rate_matrix.temperature
-    if h is None:
-        h = 1e-5 * t0
+    h = 1e-5 * t0
 
     def aligned(temp: float):
-        dec = decompose(rate_matrix.family(temp))
+        dec = decompose(family(temp))
         perm = match_modes(decomposition, dec)
         lam = dec.eigenvalues[perm]
         right = dec.right_modes[:, perm].copy()
@@ -586,7 +526,7 @@ def finite_difference_spectrum(
     lam_m, right_m, left_m = aligned(t0 - h)
     inv = 1.0 / (2.0 * h)
     return SpectralDerivatives(
-        d_rate_matrix=dT_rate_matrix(rate_matrix, h),
+        d_rate_matrix=finite_difference_dT(lambda temp: family(temp).entries, t0).value,
         d_eigenvalues=(lam_p - lam_m) * inv,
         d_right_modes=(right_p - right_m) * inv,
         d_left_modes=(left_p - left_m) * inv,

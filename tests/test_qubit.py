@@ -166,18 +166,6 @@ class TestTemperatureDerivatives:
         assert dT_population(canonical_params, 0.9, 0.0) == 0.0
 
 
-def test_trajectory_point_bundles_consistent_values(canonical_params):
-    from mpemba_thermometry.qubit import trajectory_point
-
-    pt = trajectory_point(canonical_params, P0_HOT, 1.0)
-    assert pt.population == pytest.approx(
-        evolve_population(canonical_params, P0_HOT, 1.0), rel=1e-15
-    )
-    assert pt.dT_population == pytest.approx(
-        dT_population(canonical_params, P0_HOT, 1.0), rel=1e-15
-    )
-
-
 def test_bose_occupation_high_temperature_expansion():
     # n_bar -> T / omega0 - 1/2 + O(omega0/T)
     n = bose_occupation(1.0, 200.0)

@@ -11,26 +11,33 @@ from mpemba_thermometry import (
     build_lambda_rate_matrix,
     decompose,
     dT_populations_modal,
-    evolve_modal,
     gibbs_vector,
     project_initial,
     temperature_derivatives,
 )
-from mpemba_thermometry.oracle import integrate_rate_equation
+from mpemba_thermometry.oracle import finite_difference_dT, integrate_rate_equation
+from mpemba_thermometry.qubit import ColdLimitWarning
 from mpemba_thermometry.spectral import (
     DegenerateSpectrumError,
     RateMatrix,
     SimplexError,
+    SpectralDecomposition,
     amplitudes_with_derivatives,
     build_qubit_rate_matrix,
     dT_gibbs_vector,
-    dT_rate_matrix,
     finite_difference_spectrum,
     modal_trajectory,
     validate_rate_matrix,
 )
 
-from conftest import LADDER, LADDER_COLD, LADDER_HOT, random_ladder, random_preparation
+from conftest import (
+    LADDER,
+    LADDER_COLD,
+    LADDER_HOT,
+    random_ladder,
+    random_preparation,
+    random_qubit,
+)
 
 # Frozen references for the symmetric ladder at T = 0.5 (kappa = 1, gap = 1),
 # all derived by hand from the doublet structure: the antisymmetric mode
@@ -164,8 +171,8 @@ class TestModalEvolution:
 
     def test_time_zero_recovers_preparation(self, ladder_spectrum):
         amps = project_initial(ladder_spectrum, LADDER_HOT)
-        p = evolve_modal(ladder_spectrum, amps, 0.0)
-        assert np.allclose(p.populations, LADDER_HOT, atol=1e-12)
+        p = modal_trajectory(ladder_spectrum, amps, [0.0])[0]
+        assert np.allclose(p, LADDER_HOT, atol=1e-12)
 
     def test_population_conservation_along_trajectory(self, ladder_spectrum):
         rng = np.random.default_rng(5150)
@@ -177,8 +184,9 @@ class TestModalEvolution:
 
 class TestTemperatureResponse:
     def test_frozen_eigenvalue_slopes(self, ladder, ladder_spectrum):
-        # the perturbation route differentiates the generator numerically, so
-        # it matches the hand-derived slopes to the stencil error, not to ulp
+        # the perturbation route uses the exact dT R, but the slopes pass
+        # through a numerical eigendecomposition, so they match the
+        # hand-derived values to rounding of that route, not to ulp
         der = temperature_derivatives(ladder, ladder_spectrum)
         assert der.d_eigenvalues[0] == 0.0
         assert der.d_eigenvalues[1] == pytest.approx(DT_RATE_2, rel=1e-8)
@@ -215,9 +223,8 @@ class TestTemperatureResponse:
     ):
         # R' pi + R pi' = 0 must hold for the assembled derivatives
         der = temperature_derivatives(ladder, ladder_spectrum)
-        d_entries = dT_rate_matrix(ladder)
         residual = (
-            d_entries @ ladder_spectrum.stationary
+            ladder.d_entries @ ladder_spectrum.stationary
             + ladder.entries @ der.d_stationary
         )
         assert np.max(np.abs(residual)) < 1e-8
@@ -295,3 +302,85 @@ class TestTimeArrays:
         amps = amplitudes_with_derivatives(ladder_spectrum, der, LADDER_HOT)
         with pytest.raises(ValueError, match="non-negative"):
             dT_populations_modal(ladder_spectrum, amps, der, np.array([0.0, -1e-3]))
+
+    def test_time_zero_rows_are_exact_zeros(self, ladder, ladder_spectrum):
+        # the preparation is held fixed, so dT p(0) = 0 exactly, not to rounding
+        der = temperature_derivatives(ladder, ladder_spectrum)
+        for p0 in (LADDER_HOT, LADDER_COLD):
+            amps = amplitudes_with_derivatives(ladder_spectrum, der, p0)
+            rows = dT_populations_modal(ladder_spectrum, amps, der, np.array([0.0, 0.5, 0.0]))
+            assert not np.any(rows[[0, 2]])
+            assert np.all(rows[1] != 0.0)
+            assert not np.any(dT_populations_modal(ladder_spectrum, amps, der, 0.0))
+
+
+class TestExactGeneratorDerivative:
+    """d_entries (the exact dT R) against the finite-difference oracle and at the edges."""
+
+    @staticmethod
+    def _check_against_oracle(matrix):
+        d_r = matrix.d_entries
+        assert not np.any(d_r.sum(axis=0))  # columns sum to zero exactly
+        fd = finite_difference_dT(lambda temp: matrix.family(temp).entries, matrix.temperature)
+        assert np.max(np.abs(d_r - fd.value)) <= 1e-7 * np.max(np.abs(d_r))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_ladder_matches_finite_differences(self, seed):
+        self._check_against_oracle(random_ladder(np.random.default_rng(seed)))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_qubit_matches_finite_differences(self, seed):
+        params = random_qubit(np.random.default_rng(seed))
+        self._check_against_oracle(
+            build_qubit_rate_matrix(params.omega0, params.gamma, params.temperature)
+        )
+
+    def test_gap_matrix_equals_per_mode_sums(self):
+        # the perturbation sums written out mode by mode, as the reference
+        rng = np.random.default_rng(4417)
+        for _ in range(20):
+            matrix = random_ladder(rng)
+            dec = decompose(matrix)
+            der = temperature_derivatives(matrix, dec)
+            lam, right, left = dec.eigenvalues, dec.right_modes, dec.left_modes
+            overlap = left.T @ matrix.d_entries @ right
+            for k in range(1, 3):
+                d_right = sum(
+                    overlap[j, k] / (lam[j] - lam[k]) * right[:, j] for j in range(3) if j != k
+                )
+                d_left = sum(
+                    overlap[k, j] / (lam[j] - lam[k]) * left[:, j] for j in range(3) if j != k
+                )
+                scale = np.abs(overlap).max() / np.diff(lam).min()
+                assert np.max(np.abs(der.d_right_modes[:, k] - d_right)) <= 1e-14 * scale
+                assert np.max(np.abs(der.d_left_modes[:, k] - d_left)) <= 1e-14 * scale
+
+    def test_gap_below_floor_raises_instead_of_nan(self, ladder):
+        near = SpectralDecomposition(
+            eigenvalues=np.array([0.0, 1.0, 1.0 + 5e-10]),
+            right_modes=np.eye(3),
+            left_modes=np.eye(3),
+            stationary=np.full(3, 1.0 / 3.0),
+        )
+        with pytest.raises(DegenerateSpectrumError, match="gap"):
+            temperature_derivatives(ladder, near)
+
+    def test_cold_ladder_has_finite_derivative(self):
+        # (e3 - e1)/T = 800 is past the overflow cutoff; (e3 - e2)/T = 80 is not
+        with pytest.warns(ColdLimitWarning):
+            matrix = build_lambda_rate_matrix(0.0, 0.9, 1.0, 1.0, 1.0, 1.0 / 800.0)
+        assert np.all(np.isfinite(matrix.d_entries))
+        assert np.any(matrix.d_entries)
+        assert not np.any(matrix.d_entries.sum(axis=0))
+
+    def test_matrix_without_provenance_cannot_be_differentiated(self, ladder, ladder_spectrum):
+        bare = RateMatrix(
+            entries=ladder.entries,
+            energies=ladder.energies,
+            couplings=ladder.couplings,
+            temperature=ladder.temperature,
+        )
+        with pytest.raises(ValueError, match="d_entries"):
+            temperature_derivatives(bare, ladder_spectrum)
