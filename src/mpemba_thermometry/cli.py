@@ -244,10 +244,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         curve = calibrate_equilibrium(config.omega0, temps, config.shots, config.seed)
         _write_text(
             out_dir / "calibration.csv",
-            _csv(
-                ["temperature", "p_fit"],
-                [[t, v] for t, v in zip(curve.knots, curve.values)],
-            ),
+            _csv(["temperature", "p_fit"], np.column_stack([curve.knots, curve.values])),
         )
         manifest.append("step_calibration = ok")
     except _NUMERICAL_ERRORS as exc:
@@ -295,12 +292,12 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         fi_map = fisher_map(
             population_fn, times, temps, shots=config.shots, seed=config.seed
         )
-        map_rows = []
-        for j, temp in enumerate(fi_map.temperatures):
-            for i, t in enumerate(fi_map.times):
-                map_rows.append([temp, t, fi_map.values[i, j]])
+        # temperature-major rows: every time of the first temperature, then the next
+        temps_col = np.repeat(fi_map.temperatures, fi_map.times.size)
+        times_col = np.tile(fi_map.times, fi_map.temperatures.size)
+        table = np.column_stack([temps_col, times_col, fi_map.values.T.ravel()])
         _write_text(
-            out_dir / "fisher_map.csv", _csv(["temperature", "time", "fisher"], map_rows)
+            out_dir / "fisher_map.csv", _csv(["temperature", "time", "fisher"], table)
         )
         manifest.append("step_fisher_map = ok")
     except _NUMERICAL_ERRORS as exc:

@@ -9,6 +9,11 @@ of cells, in any order, reproduces the same draws.  Pipeline stages use
 disjoint cell ranges (the ``cell_base`` arguments) to stay non-overlapping
 under a shared seed.
 
+The per-cell stages (the dynamical calibration and the sampled Fisher map)
+draw through one Philox per stage, reset to counter 0 and re-keyed to
+``(seed, cell)`` before each draw: the same draws as a fresh
+``sampling_stream(seed, cell)``, without building a generator per cell.
+
 ``shots = 0`` selects the noiseless idealization everywhere: empirical
 frequencies are replaced by exact model populations (and success counts become
 fractional).  That mode exists for validating the pipeline against closed
@@ -136,10 +141,21 @@ class MleResult:
     multimodal: bool = False
 
 
-def sampling_stream(seed: int, cell: int) -> np.random.Generator:
-    """Counter-based generator for one sampling cell."""
+def _check_key(seed: int, cell: int) -> None:
     if seed < 0 or cell < 0:
         raise ValueError(f"seed and cell must be non-negative, got ({seed}, {cell})")
+
+
+def _check_draw(p_true: float, shots: int) -> None:
+    if not 0.0 <= p_true <= 1.0:
+        raise ValueError(f"p_true must lie in [0, 1], got {p_true}")
+    if shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots}")
+
+
+def sampling_stream(seed: int, cell: int) -> np.random.Generator:
+    """Counter-based generator for one sampling cell."""
+    _check_key(seed, cell)
     key = np.array([seed, cell], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -153,10 +169,7 @@ def sample_population(
     cell: int = 0,
 ) -> ShotRecord:
     """Draw a binomial record of ``shots`` measurements at success rate ``p_true``."""
-    if not 0.0 <= p_true <= 1.0:
-        raise ValueError(f"p_true must lie in [0, 1], got {p_true}")
-    if shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots}")
+    _check_draw(p_true, shots)
     rng = sampling_stream(seed, cell)
     successes = int(rng.binomial(shots, p_true))
     return ShotRecord(
@@ -235,13 +248,27 @@ def calibrate_equilibrium(
     return CalibrationCurve(knots=temps, values=fitted, monotone="increasing")
 
 
-def _sampled_frequency(
-    p_true: float, shots: int, seed: int, cell: int
-) -> float:
-    if shots == 0:
-        return p_true
-    record = sample_population(p_true, shots, seed, cell=cell)
-    return record.successes / record.shots
+def _stage_sampler(shots: int, seed: int) -> Callable[[float, int], float]:
+    """``frequency(p_true, cell)``: the success frequency of ``sample_population``.
+
+    One Philox serves the whole stage.  Before each draw it is reset to
+    counter 0, an empty buffer and the key ``(seed, cell)``, which is the state
+    of a fresh ``Philox(key=(seed, cell))``, so the draws equal those of
+    :func:`sampling_stream`.  Building a Philox per cell would also build a
+    ``SeedSequence`` from OS entropy that the key then overrides.
+    """
+    bitgen = np.random.Philox(0)
+    generator = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh Philox's: counter 0, buffer_pos 4, has_uint32 0
+
+    def frequency(p_true: float, cell: int) -> float:
+        _check_draw(p_true, shots)
+        _check_key(seed, cell)
+        state["state"]["key"] = np.array([seed, cell], dtype=np.uint64)
+        bitgen.state = state
+        return int(generator.binomial(shots, p_true)) / shots
+
+    return frequency
 
 
 def dynamical_calibration(
@@ -267,7 +294,10 @@ def dynamical_calibration(
 
     Cell layout per temperature j, with M time points: equilibrium reference
     at ``cell_base + j (2 M + 1)``, then hot/cold pairs at the following
-    ``2 M`` cells in time order.
+    ``2 M`` cells in time order.  Each preparation's populations come from
+    one ``evolve_population`` call over the whole grid per temperature; the
+    cells are drawn in time order and no cell past the first crossing is
+    drawn.
     """
     temps = np.asarray(temperatures, dtype=float)
     times = np.asarray(time_grid, dtype=float)
@@ -275,22 +305,21 @@ def dynamical_calibration(
         raise ValueError("time_grid must be strictly increasing with at least two points")
     if isinstance(delta_policy, str) and delta_policy != "3se":
         raise ValueError(f"unknown delta policy {delta_policy!r}")
+    frequency = (lambda p, cell: p) if shots == 0 else _stage_sampler(shots, seed)
     out: dict[float, float | None] = {}
     stride = 2 * times.size + 1
-    for j, temp in enumerate(temps):
-        params = params_factory(float(temp))
+    for j, temp in enumerate(temps.tolist()):
+        params = params_factory(temp)
         base = cell_base + j * stride
-        p_eq_hat = _sampled_frequency(
-            gibbs_population_qubit(params.omega0, params.temperature), shots, seed, base
+        p_eq_hat = frequency(
+            gibbs_population_qubit(params.omega0, params.temperature), base
         )
+        hot = evolve_population(params, p0_hot, times).tolist()
+        cold = evolve_population(params, p0_cold, times).tolist()
         crossing: float | None = None
-        for i, t in enumerate(times):
-            hot_hat = _sampled_frequency(
-                evolve_population(params, p0_hot, float(t)), shots, seed, base + 1 + 2 * i
-            )
-            cold_hat = _sampled_frequency(
-                evolve_population(params, p0_cold, float(t)), shots, seed, base + 2 + 2 * i
-            )
+        for i, t in enumerate(times.tolist()):
+            hot_hat = frequency(hot[i], base + 1 + 2 * i)
+            cold_hat = frequency(cold[i], base + 2 + 2 * i)
             if shots == 0:
                 delta = 0.0
             elif isinstance(delta_policy, str):
@@ -303,27 +332,29 @@ def dynamical_calibration(
             else:
                 delta = float(delta_policy)
             if abs(hot_hat - p_eq_hat) < abs(cold_hat - p_eq_hat) - delta:
-                crossing = float(t)
+                crossing = t
                 break
-        out[float(temp)] = crossing
+        out[temp] = crossing
     return out
 
 
-def _local_quadratic_slopes(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Derivative at each knot from a 5-point local least-squares quadratic."""
+def _local_quadratic_slopes(knots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Derivative at each knot of each row from 5-point local least-squares quadratics.
+
+    One ``polyfit`` per knot fits every row's window at once; each column of
+    the result equals the single-row fit bit for bit.
+    """
     n = knots.size
-    slopes = np.empty(n)
+    slopes = np.empty(rows.shape)
     for j in range(n):
         lo = min(max(j - 2, 0), n - 5)
         window = slice(lo, lo + 5)
-        x = knots[window] - knots[j]
-        coeffs = np.polyfit(x, values[window], 2)
-        slopes[j] = coeffs[1]
+        slopes[:, j] = np.polyfit(knots[window] - knots[j], rows[:, window].T, 2)[1]
     return slopes
 
 
 def fisher_map(
-    population_fn: Callable[[float, float], float],
+    population_fn: Callable[[np.ndarray, float], np.ndarray | float],
     times: Sequence[float] | np.ndarray,
     temperatures: Sequence[float] | np.ndarray,
     shots: int = 0,
@@ -332,8 +363,10 @@ def fisher_map(
 ) -> FisherMap:
     """Per-shot Fisher information over a (time x temperature) grid.
 
-    Populations come from ``population_fn(t, T)`` (sampled binomially when
-    ``shots >= 1``, cell index ``cell_base + i * len(temperatures) + j``).
+    Populations come from ``population_fn(times, T)``, called once per
+    temperature with the whole time array; it returns one population per time,
+    or a scalar that broadcasts over them.  They are sampled binomially when
+    ``shots >= 1``, cell index ``cell_base + i * len(temperatures) + j``.
     Sampled rows are regularized with an isotonic fit in the better-fitting
     direction; exactly computed rows are used as-is (smooth non-monotone rows
     must not be flattened).  The temperature derivative at each knot comes
@@ -346,31 +379,26 @@ def fisher_map(
         raise ValueError("need at least 5 temperature knots for local quadratic fits")
     if np.any(np.diff(temps) <= 0):
         raise ValueError("temperatures must be strictly increasing")
-    values = np.empty((times.size, temps.size))
-    flags = np.zeros((times.size, temps.size), dtype=bool)
-    for i, t in enumerate(times):
-        row = np.array([population_fn(float(t), float(temp)) for temp in temps])
-        if shots >= 1:
-            sampled = np.array(
-                [
-                    _sampled_frequency(
-                        float(p), shots, seed, cell_base + i * temps.size + j
-                    )
-                    for j, p in enumerate(row)
-                ]
-            )
-            inc = pav_isotonic(sampled, np.full(temps.size, float(shots)), increasing=True)
-            dec = pav_isotonic(sampled, np.full(temps.size, float(shots)), increasing=False)
+    rows = np.empty((times.size, temps.size))
+    for j, temp in enumerate(temps.tolist()):
+        rows[:, j] = population_fn(times, temp)
+    if shots >= 1:
+        frequency = _stage_sampler(shots, seed)
+        weights = np.full(temps.size, float(shots))
+        for i, row in enumerate(rows.tolist()):
+            base = cell_base + i * temps.size
+            sampled = np.array([frequency(p, base + j) for j, p in enumerate(row)])
+            inc = pav_isotonic(sampled, weights, increasing=True)
+            dec = pav_isotonic(sampled, weights, increasing=False)
             sse_inc = float(np.sum((inc - sampled) ** 2))
             sse_dec = float(np.sum((dec - sampled) ** 2))
-            row = inc if sse_inc <= sse_dec else dec
-        slopes = _local_quadratic_slopes(temps, row)
-        variance = row * (1.0 - row)
-        zero = variance < 1e-12
-        flags[i] = zero
-        safe = np.where(zero, 1.0, variance)
-        values[i] = np.where(zero, 0.0, slopes**2 / safe)
-    return FisherMap(times=times, temperatures=temps, values=values, zero_flags=flags)
+            rows[i] = inc if sse_inc <= sse_dec else dec
+    slopes = _local_quadratic_slopes(temps, rows)
+    variance = rows * (1.0 - rows)
+    zero = variance < 1e-12
+    safe = np.where(zero, 1.0, variance)
+    values = np.where(zero, 0.0, slopes**2 / safe)
+    return FisherMap(times=times, temperatures=temps, values=values, zero_flags=zero)
 
 
 def _golden_section_maximize(

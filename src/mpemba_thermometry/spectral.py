@@ -261,13 +261,20 @@ def validate_rate_matrix(rate_matrix: RateMatrix) -> None:
 def decompose(rate_matrix: RateMatrix) -> SpectralDecomposition:
     """Diagonalize through the symmetrizing similarity transform.
 
-    Raises :class:`RateMatrixError` if the transform fails to symmetrize the
-    generator (the real-spectrum guarantee rests on it) and
+    Raises :class:`RateMatrixError` if a stationary population underflows
+    (the transform divides by sqrt(pi)) or if the transform fails to
+    symmetrize the generator (the real-spectrum guarantee rests on it), and
     :class:`DegenerateSpectrumError` if two decay rates collide.
     """
     validate_rate_matrix(rate_matrix)
     n = rate_matrix.dim
     pi = gibbs_vector(rate_matrix.energies, rate_matrix.temperature)
+    empty = int(np.argmin(pi))
+    if pi[empty] < np.finfo(float).tiny:
+        raise RateMatrixError(
+            f"stationary population of level {empty + 1} is {pi[empty]:.3g}, below the "
+            "smallest normal float; the symmetrizing transform needs every level populated"
+        )
     s = np.sqrt(pi)
     sym = rate_matrix.entries * (s[None, :] / s[:, None])
     asym = float(np.max(np.abs(sym - sym.T)))

@@ -12,7 +12,13 @@ import pytest
 import mpemba_thermometry
 from mpemba_thermometry.cli import _csv, _fmt, main
 from mpemba_thermometry.fisher import qfi_equilibrium
-from mpemba_thermometry.qubit import QubitBathParams, evolve_population, gibbs_population_qubit
+from mpemba_thermometry.protocol import calibrate_equilibrium, fisher_map
+from mpemba_thermometry.qubit import (
+    ColdLimitWarning,
+    QubitBathParams,
+    evolve_population,
+    gibbs_population_qubit,
+)
 
 T_STAR_QUBIT = 1.3671541640340499
 T_STAR_LADDER = 0.48787920210350055
@@ -246,6 +252,29 @@ class TestProtocolCommand:
         assert "failed" in capsys.readouterr().err
         assert not (tmp_path / "fisher_map.csv").exists()
 
+    def test_tables_equal_cell_by_cell_text(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "t_steps = 21\nt_max = 6.0\ncalib_t_points = 6\nseed = 7\n"
+        )
+        assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 0
+        temps = np.linspace(0.3, 0.7, 6)
+        times = np.linspace(0.0, 6.0, 21)
+        curve = calibrate_equilibrium(1.0, temps, 10_000, 7)
+        expected = "temperature,p_fit\n" + "".join(
+            f"{_fmt(t)},{_fmt(v)}\n" for t, v in zip(curve.knots, curve.values)
+        )
+        assert (tmp_path / "calibration.csv").read_text() == expected
+
+        def hot(t, temp):
+            return evolve_population(QubitBathParams(1.0, 1.0, temp, 1.0), 0.9, t)
+
+        fm = fisher_map(hot, times, temps, shots=10_000, seed=7)
+        lines = ["temperature,time,fisher"]
+        for j, temp in enumerate(fm.temperatures):
+            for i, t in enumerate(fm.times):
+                lines.append(f"{_fmt(temp)},{_fmt(t)},{_fmt(fm.values[i, j])}")
+        assert (tmp_path / "fisher_map.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_requires_qubit_model(self, tmp_path, capsys):
         assert main(["protocol", "--model", "lambda", "--output", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -293,6 +322,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "alpha = 20.0\np0_cold = 0.0\n")
         assert main([command, "--config", cfg, "--output", str(tmp_path)]) == 3
         assert "non-positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem"])
+    def test_cold_ladder_is_numerical_failure(self, tmp_path, capsys, command):
+        # e3/T = 1000: the top level's stationary population underflows to 0
+        cfg = write_config(tmp_path, "model = lambda\ntemperature = 0.001\n")
+        with pytest.warns(ColdLimitWarning):
+            code = main([command, "--config", cfg, "--output", str(tmp_path)])
+        assert code == 3
+        assert "stationary population of level 3" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a fully inverted preparation carries divergent information at t = 0

@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpemba_thermometry import QubitBathParams
+from mpemba_thermometry import QubitBathParams, protocol
 from mpemba_thermometry.fisher import qfi_equilibrium
 from mpemba_thermometry.protocol import (
     CELLS_DYNAMICAL,
@@ -29,11 +29,49 @@ from mpemba_thermometry.protocol import (
     sample_population,
     sampling_stream,
 )
-from mpemba_thermometry.qubit import gibbs_population_qubit
+from mpemba_thermometry.qubit import evolve_population, gibbs_population_qubit
 
 
 def eq_model(t: float, temp: float) -> float:
     return gibbs_population_qubit(1.0, temp)
+
+
+def hot_model(t, temp: float):
+    return evolve_population(QubitBathParams(1.0, 1.0, temp, 1.0), 0.9, t)
+
+
+def sampled_frequency(p: float, shots: int, seed: int, cell: int) -> float:
+    record = sample_population(p, shots, seed, cell=cell)
+    return record.successes / record.shots
+
+
+def recording_sampler(monkeypatch) -> list[int]:
+    """Record every cell the stage sampler draws, in draw order."""
+    drawn: list[int] = []
+    real = protocol._stage_sampler
+
+    def recording(shots, seed):
+        frequency = real(shots, seed)
+
+        def recorded(p, cell):
+            drawn.append(cell)
+            return frequency(p, cell)
+
+        return recorded
+
+    monkeypatch.setattr(protocol, "_stage_sampler", recording)
+    return drawn
+
+
+def per_row_slopes(knots: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """One 5-point quadratic fit per knot, one row at a time."""
+    n = knots.size
+    slopes = np.empty(n)
+    for j in range(n):
+        lo = min(max(j - 2, 0), n - 5)
+        window = slice(lo, lo + 5)
+        slopes[j] = np.polyfit(knots[window] - knots[j], row[window], 2)[1]
+    return slopes
 
 
 class TestSamplingStreams:
@@ -66,6 +104,63 @@ class TestSamplingStreams:
             sample_population(1.2, 10, seed=0)
         with pytest.raises(ValueError):
             sample_population(0.5, 0, seed=0)
+
+    @given(
+        seed=st.integers(0, 2**63),
+        shots=st.one_of(st.sampled_from([1, 7, 100, 10_000, 50_000]), st.integers(1, 10**6)),
+        cells=st.lists(
+            st.tuples(
+                st.integers(0, 2**40),
+                st.one_of(st.sampled_from([0.0, 1.0, 0.3]), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stage_sampler_draws_what_sample_population_draws(self, seed, shots, cells, order):
+        cells = cells + cells[:3]  # repeated cells and repeated (p, shots) pairs
+        order.shuffle(cells)
+        frequency = protocol._stage_sampler(shots, seed)
+        for cell, p in cells:
+            assert frequency(p, cell) == sampled_frequency(p, shots, seed, cell)
+
+    @pytest.mark.parametrize(
+        "p, shots, seed, cell",
+        [(1.2, 10, 0, 0), (-0.1, 10, 0, 0), (0.5, 0, 0, 0), (0.5, -3, 0, 0),
+         (0.5, 10, -1, 0), (0.5, 10, 0, -4), (2.0, 0, -1, -1)],
+    )
+    def test_stage_sampler_rejects_what_sample_population_rejects(self, p, shots, seed, cell):
+        with pytest.raises(ValueError) as expected:
+            sample_population(p, shots, seed, cell=cell)
+        with pytest.raises(ValueError) as got:
+            protocol._stage_sampler(shots, seed)(p, cell)
+        assert str(got.value) == str(expected.value)
+
+    def test_only_public_entry_points_build_streams(self, monkeypatch):
+        # the per-cell stages draw through the re-keyed stage sampler; only
+        # calibration and single records build a generator per cell
+        built: list[tuple[int, int]] = []
+        real = protocol.sampling_stream
+
+        def counting(seed, cell):
+            built.append((seed, cell))
+            return real(seed, cell)
+
+        monkeypatch.setattr(protocol, "sampling_stream", counting)
+        temps = np.linspace(0.3, 0.7, 7)
+        fisher_map(hot_model, np.linspace(0.0, 3.0, 11), temps, shots=1000, seed=3)
+        dynamical_calibration(
+            lambda T: QubitBathParams(1.0, 1.0, T, 0.0), 0.9, 0.5, temps,
+            np.linspace(0.0, 4.0, 21), shots=1000, seed=3,
+        )
+        assert built == []
+        calibrate_equilibrium(1.0, temps, shots=1000, seed=3)
+        assert built == [(3, j) for j in range(temps.size)]
+        built.clear()
+        sample_population(0.4, 100, seed=3, cell=9)
+        assert built == [(3, 9)]
 
 
 class TestIsotonicFit:
@@ -130,9 +225,68 @@ class TestCalibration:
             calibrate_equilibrium(1.0, [0.5, 0.4], shots=0, seed=0)
 
 
+def reference_dynamical_calibration(
+    factory, p0_hot, p0_cold, temps, grid, shots, seed, delta_policy="3se"
+):
+    """The crossing search one cell at a time: float model calls and one
+    ``sample_population`` per cell; returns the crossings and the drawn cells."""
+    drawn: list[int] = []
+
+    def observe(p: float, cell: int) -> float:
+        if shots == 0:
+            return p
+        drawn.append(cell)
+        return sampled_frequency(p, shots, seed, cell)
+
+    out = {}
+    stride = 2 * len(grid) + 1
+    for j, temp in enumerate(temps):
+        params = factory(float(temp))
+        base = CELLS_DYNAMICAL + j * stride
+        p_eq = observe(gibbs_population_qubit(params.omega0, params.temperature), base)
+        crossing = None
+        for i, t in enumerate(grid):
+            hot = observe(evolve_population(params, p0_hot, float(t)), base + 1 + 2 * i)
+            cold = observe(evolve_population(params, p0_cold, float(t)), base + 2 + 2 * i)
+            if shots == 0:
+                delta = 0.0
+            elif isinstance(delta_policy, str):
+                lo = 1.0 / (2.0 * shots)
+                ph = min(max(hot, lo), 1.0 - lo)
+                pc = min(max(cold, lo), 1.0 - lo)
+                delta = 3.0 * math.sqrt(ph * (1.0 - ph) / shots + pc * (1.0 - pc) / shots)
+            else:
+                delta = float(delta_policy)
+            if abs(hot - p_eq) < abs(cold - p_eq) - delta:
+                crossing = float(t)
+                break
+        out[float(temp)] = crossing
+    return out, drawn
+
+
 class TestDynamicalCalibration:
     FACTORY = staticmethod(lambda T: QubitBathParams(1.0, 1.0, T, 1.0))
+    NO_FEEDBACK = staticmethod(lambda T: QubitBathParams(1.0, 1.0, T, 0.0))
     GRID = np.linspace(0.0, 8.0, 161)
+    # the settings of the tests below: (factory, temperatures, shots, seed, delta_policy)
+    SETTINGS = [
+        ("FACTORY", [0.5], 0, 0, "3se"),
+        ("NO_FEEDBACK", [0.5], 0, 0, "3se"),
+        ("FACTORY", [0.4, 0.5, 0.6], 10_000, 42, "3se"),
+        ("NO_FEEDBACK", [0.5], 10_000, 42, 0.0),
+    ]
+
+    @pytest.mark.parametrize("factory, temps, shots, seed, policy", SETTINGS)
+    def test_equals_per_cell_reference(self, monkeypatch, factory, temps, shots, seed, policy):
+        drawn = recording_sampler(monkeypatch)
+        args = (getattr(self, factory), 0.9, 0.5, temps, self.GRID)
+        got = dynamical_calibration(*args, shots=shots, seed=seed, delta_policy=policy)
+        expected, expected_cells = reference_dynamical_calibration(
+            *args, shots, seed, delta_policy=policy
+        )
+        assert got == expected
+        # the same cells in the same order: none past the first crossing
+        assert drawn == expected_cells
 
     def test_noiseless_crossing_matches_grid_resolution(self):
         out = dynamical_calibration(
@@ -233,6 +387,74 @@ class TestFisherMap:
         fm = fisher_map(eq_model, [0.0], temps, shots=50_000, seed=5)
         assert np.all(fm.values[0] >= 0.0)
         assert fm.values.shape == (1, 9)
+
+    @given(
+        n_knots=st.integers(5, 41),
+        n_rows=st.integers(1, 40),
+        uniform=st.booleans(),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_knots=5, n_rows=1, uniform=True, data_seed=0)
+    @example(n_knots=5, n_rows=1, uniform=False, data_seed=1)
+    @example(n_knots=5, n_rows=7, uniform=False, data_seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_batched_slopes_equal_per_row_fits_bit_for_bit(
+        self, n_knots, n_rows, uniform, data_seed
+    ):
+        rng = np.random.default_rng(data_seed)
+        if uniform:
+            knots = np.linspace(0.2, 1.4, n_knots)
+        else:
+            knots = 0.2 + np.cumsum(rng.uniform(0.01, 0.3, n_knots))
+        rows = rng.uniform(0.0, 1.0, (n_rows, n_knots))
+        got = protocol._local_quadratic_slopes(knots, rows)
+        expected = np.array([per_row_slopes(knots, row) for row in rows])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_model_called_once_per_temperature_with_all_times(self, shots):
+        times = np.linspace(0.0, 3.0, 31)
+        temps = np.linspace(0.3, 0.7, 9)
+        calls = []
+
+        def counting(t, temp):
+            calls.append((t, temp))
+            return hot_model(t, temp)
+
+        fisher_map(counting, times, temps, shots=shots, seed=1)
+        assert [temp for _, temp in calls] == temps.tolist()
+        assert all(np.array_equal(t, times) for t, _ in calls)
+
+    @pytest.mark.parametrize(
+        "model", [hot_model, eq_model, lambda t, T: 0.0], ids=["hot", "equilibrium", "empty"]
+    )
+    def test_sampled_map_equals_per_cell_reference(self, model):
+        times = np.linspace(0.0, 3.0, 13)
+        temps = np.linspace(0.3, 0.7, 9)
+        shots, seed = 10_000, 8
+        values = np.empty((times.size, temps.size))
+        flags = np.empty(values.shape, dtype=bool)
+        for i, t in enumerate(times):
+            sampled = np.array(
+                [
+                    sampled_frequency(
+                        model(float(t), float(temp)), shots, seed,
+                        CELLS_FISHER_MAP + i * temps.size + j,
+                    )
+                    for j, temp in enumerate(temps)
+                ]
+            )
+            weights = np.full(temps.size, float(shots))
+            inc = pav_isotonic(sampled, weights, increasing=True)
+            dec = pav_isotonic(sampled, weights, increasing=False)
+            row = inc if np.sum((inc - sampled) ** 2) <= np.sum((dec - sampled) ** 2) else dec
+            slopes = per_row_slopes(temps, row)
+            variance = row * (1.0 - row)
+            flags[i] = variance < 1e-12
+            values[i] = np.where(flags[i], 0.0, slopes**2 / np.where(flags[i], 1.0, variance))
+        fm = fisher_map(model, times, temps, shots=shots, seed=seed)
+        assert np.array_equal(fm.values, values)
+        assert np.array_equal(fm.zero_flags, flags)
 
 
 class TestMleTemperature:
