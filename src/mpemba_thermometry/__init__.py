@@ -18,7 +18,7 @@ from .fisher import (
     qfi_qubit_closed_form,
     qfi_short_time,
 )
-from .instances import LambdaPair, QubitPair, make_lambda_pair
+from .instances import ProbePair, make_lambda_pair, make_qubit_pair
 from .mpemba import (
     InversionRecord,
     TrajectoryOrderingError,
@@ -96,7 +96,7 @@ __all__ = [
     "crossover_time_bound",
     "qfi_gain",
     "theorem_hierarchy_check",
-    "QubitPair",
-    "LambdaPair",
+    "ProbePair",
+    "make_qubit_pair",
     "make_lambda_pair",
 ]

@@ -12,20 +12,20 @@ orderings are reported alongside, and on instances where the bounding route's
 validity condition fails (remainders comparable to the slow-mode signal) the
 certificate says so rather than extrapolating.
 
-All modal machinery requires at least three levels; two-level pairs get the
-closed-form Fisher comparisons only.
+All modal machinery requires at least three levels; pairs without a spectral
+decomposition (the two-level probe) get the case split and the closed-form
+Fisher comparisons only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import qubit as qb
-from .instances import LambdaPair, QubitPair
+from .instances import ProbePair
 from .mpemba import HierarchyReport, InversionRecord, theorem_hierarchy_check
 from .spectral import ModalAmplitudes, SpectralDecomposition, SpectralDerivatives
 
@@ -389,27 +389,31 @@ def slow_mode_split(
 
 @dataclass(frozen=True)
 class TheoremCertificate:
-    """Everything the transient-advantage verification produced for one pair."""
+    """Everything the transient-advantage verification produced for one pair.
+
+    The fields after ``f_eq`` stay None when there is nothing to report: all of
+    them without an inversion, the modal ones (lemma1 onwards) for the qubit.
+    """
 
     applicable: bool
     kind: str
-    case: str | None
-    kappa0: float | None
     inversion: InversionRecord
-    t_star: float | None
     f_eq: float
-    f_hot_tstar: float | None
-    f_cold_tstar: float | None
-    hot_gt_cold_at_tstar: bool | None
-    cold_ge_eq_at_tstar: bool | None
-    hierarchy: HierarchyReport | None
-    lemma1: Lemma1Certificate | None
-    lemma2: Lemma2Certificate | None
-    constants: LemmaConstants | None
-    gap_bound: float | None
-    gap_bound_positive: bool | None
-    gap_bound_valid: bool | None
-    residual_ratio: float | None
+    case: str | None = None
+    kappa0: float | None = None
+    t_star: float | None = None
+    f_hot_tstar: float | None = None
+    f_cold_tstar: float | None = None
+    hot_gt_cold_at_tstar: bool | None = None
+    cold_ge_eq_at_tstar: bool | None = None
+    hierarchy: HierarchyReport | None = None
+    lemma1: Lemma1Certificate | None = None
+    lemma2: Lemma2Certificate | None = None
+    constants: LemmaConstants | None = None
+    gap_bound: float | None = None
+    gap_bound_positive: bool | None = None
+    gap_bound_valid: bool | None = None
+    residual_ratio: float | None = None
 
     def to_text(self) -> str:
         def fmt(value) -> str:
@@ -458,32 +462,8 @@ class TheoremCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _not_applicable(pair, record: InversionRecord, f_eq: float) -> TheoremCertificate:
-    return TheoremCertificate(
-        applicable=False,
-        kind=pair.kind,
-        case=None,
-        kappa0=None,
-        inversion=record,
-        t_star=None,
-        f_eq=f_eq,
-        f_hot_tstar=None,
-        f_cold_tstar=None,
-        hot_gt_cold_at_tstar=None,
-        cold_ge_eq_at_tstar=None,
-        hierarchy=None,
-        lemma1=None,
-        lemma2=None,
-        constants=None,
-        gap_bound=None,
-        gap_bound_positive=None,
-        gap_bound_valid=None,
-        residual_ratio=None,
-    )
-
-
 def verify_theorem(
-    pair: QubitPair | LambdaPair,
+    pair: ProbePair,
     t_grid: Sequence[float] | np.ndarray | None = None,
     delta_tol: float = 0.0,
     norm_kind: str | None = None,
@@ -491,65 +471,48 @@ def verify_theorem(
     """Run detection, certify the bounding steps, and report the FI orderings.
 
     With no inversion on the grid the result is a not-applicable record (the
-    claim is vacuous), not an error.  For three-level pairs the lemma
-    certificates and the metric gap bound are evaluated at t*; two-level pairs
-    get the closed-form Fisher comparisons only.  ``gap_bound_valid`` reports
-    whether a positive claimed bound is actually below the directly computed
-    F_hot - F_cold; it is None when the bound is non-positive (nothing
-    certified).
+    claim is vacuous), not an error.  Both models get the same case split and
+    the Fisher comparisons at t*: case A when the hot preparation loads the
+    slow mode, with kappa0 = |dT lambda_2,hot| - |dT lambda_2,cold| from the
+    pair's ``d_slow_rates`` (exactly 0 for a ladder, whose preparations share
+    one generator).  Pairs that carry a spectral decomposition also get the
+    lemma certificates and the metric gap bound at t*.  ``gap_bound_valid``
+    reports whether a positive claimed bound is actually below the directly
+    computed F_hot - F_cold; it is None when the bound is non-positive
+    (nothing certified).
     """
     grid = pair.default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     record = pair.detect(delta_tol=delta_tol, norm_kind=norm_kind, times=grid)
     f_eq = pair.equilibrium_fisher()
     if not record.detected:
-        return _not_applicable(pair, record, f_eq)
+        return TheoremCertificate(applicable=False, kind=pair.kind, inversion=record, f_eq=f_eq)
 
     t_star = record.t_star
     f_hot = pair.hot_fisher(t_star)
     f_cold = pair.cold_fisher(t_star)
-    hierarchy = theorem_hierarchy_check(pair, t_star, grid)
-
-    if pair.kind == "qubit":
-        q = qb.thermal_quantities(pair.params)
-        a2_hot = pair.p0_hot - q.p_eq
-        if abs(a2_hot) < 1e-10:
-            case, kappa0 = "B", None
-        else:
-            case = "A"
-            kappa0 = abs(qb.dT_rate(pair.params, pair.p0_hot)) - abs(
-                qb.dT_rate(pair.params, pair.p0_cold)
-            )
-        return TheoremCertificate(
-            applicable=True,
-            kind=pair.kind,
-            case=case,
-            kappa0=kappa0,
-            inversion=record,
-            t_star=t_star,
-            f_eq=f_eq,
-            f_hot_tstar=f_hot,
-            f_cold_tstar=f_cold,
-            hot_gt_cold_at_tstar=bool(f_hot > f_cold),
-            cold_ge_eq_at_tstar=bool(f_cold >= f_eq),
-            hierarchy=hierarchy,
-            lemma1=None,
-            lemma2=None,
-            constants=None,
-            gap_bound=None,
-            gap_bound_positive=None,
-            gap_bound_valid=None,
-            residual_ratio=None,
-        )
-
-    # three-level path
-    a2_hot = float(pair.amps_hot.amplitudes[1])
-    if abs(a2_hot) < 1e-10:
+    if abs(pair.slow_amplitude) < 1e-10:
         case, kappa0 = "B", None
     else:
-        # both preparations share one generator, so the rate-sensitivity
-        # contrast that distinguishes the preparations vanishes identically
-        case, kappa0 = "A", 0.0
+        d_rate_hot, d_rate_cold = pair.d_slow_rates
+        case, kappa0 = "A", abs(d_rate_hot) - abs(d_rate_cold)
+    certificate = TheoremCertificate(
+        applicable=True,
+        kind=pair.kind,
+        inversion=record,
+        f_eq=f_eq,
+        case=case,
+        kappa0=kappa0,
+        t_star=t_star,
+        f_hot_tstar=f_hot,
+        f_cold_tstar=f_cold,
+        hot_gt_cold_at_tstar=bool(f_hot > f_cold),
+        cold_ge_eq_at_tstar=bool(f_cold >= f_eq),
+        hierarchy=theorem_hierarchy_check(pair, t_star, grid),
+    )
+    if pair.decomposition is None:
+        return certificate
 
+    dec, der, amps_hot = pair.decomposition, pair.derivatives, pair.amps_hot
     sample_times = grid[:: max(1, grid.size // 64)]
     cloud = np.vstack(
         [
@@ -558,44 +521,23 @@ def verify_theorem(
             pair.equilibrium[None, :],
         ]
     )
-    constants = compute_lemma_constants(
-        pair.decomposition, pair.derivatives, pair.amps_hot, t_star, cloud
-    )
-    lemma1 = lemma1_remainder_check(
-        pair.decomposition, pair.amps_hot, pair.derivatives, t_star
-    )
-    lemma2 = lemma2_slow_mode(pair.decomposition, pair.amps_hot, pair.derivatives, t_star)
-
-    s_hot, r_hot = slow_mode_split(pair.decomposition, pair.amps_hot, pair.derivatives, t_star)
-    s_cold, r_cold = slow_mode_split(
-        pair.decomposition, pair.amps_cold, pair.derivatives, t_star
-    )
-    v2 = pair.decomposition.right_modes[:, 1]
+    constants = compute_lemma_constants(dec, der, amps_hot, t_star, cloud)
+    lemma1 = lemma1_remainder_check(dec, amps_hot, der, t_star)
+    lemma2 = lemma2_slow_mode(dec, amps_hot, der, t_star)
+    s_hot, r_hot = slow_mode_split(dec, amps_hot, der, t_star)
+    s_cold, r_cold = slow_mode_split(dec, pair.amps_cold, der, t_star)
+    v2 = dec.right_modes[:, 1]
     bound = lemma3_fi_gap_bound(s_hot, s_cold, r_hot, r_cold, v2, constants.m_low)
     positive = bool(bound > 0)
-    valid = bool(bound <= (f_hot - f_cold) + 1e-12) if positive else None
     slow_scale = abs(s_hot - s_cold) * float(np.linalg.norm(v2))
     residual_scale = float(np.linalg.norm(r_hot - r_cold))
-    ratio = residual_scale / slow_scale if slow_scale > 0 else math.inf
-
-    return TheoremCertificate(
-        applicable=True,
-        kind=pair.kind,
-        case=case,
-        kappa0=kappa0,
-        inversion=record,
-        t_star=t_star,
-        f_eq=f_eq,
-        f_hot_tstar=f_hot,
-        f_cold_tstar=f_cold,
-        hot_gt_cold_at_tstar=bool(f_hot > f_cold),
-        cold_ge_eq_at_tstar=bool(f_cold >= f_eq),
-        hierarchy=hierarchy,
+    return replace(
+        certificate,
         lemma1=lemma1,
         lemma2=lemma2,
         constants=constants,
         gap_bound=bound,
         gap_bound_positive=positive,
-        gap_bound_valid=valid,
-        residual_ratio=ratio,
+        gap_bound_valid=bool(bound <= (f_hot - f_cold) + 1e-12) if positive else None,
+        residual_ratio=residual_scale / slow_scale if slow_scale > 0 else math.inf,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .fisher import (
     qfi_equilibrium,
     qfi_qubit_closed_form,
 )
-from .instances import LambdaPair, QubitPair, make_lambda_pair
+from .instances import make_lambda_pair, make_qubit_pair
 from .mpemba import TrajectoryOrderingError, distance_series, qfi_gain
 from .oracle import IntegrationUnstableError
 from .protocol import (
@@ -42,7 +43,6 @@ from .spectral import (
     AmbiguousTrackingError,
     DegenerateSpectrumError,
     RateMatrixError,
-    SimplexError,
     build_lambda_rate_matrix,
 )
 
@@ -53,7 +53,6 @@ _NUMERICAL_ERRORS = (
     DegenerateSpectrumError,
     AmbiguousTrackingError,
     RateMatrixError,
-    SimplexError,
     TrajectoryOrderingError,
     IntegrationUnstableError,
     DegenerateModelError,
@@ -94,15 +93,20 @@ def _csv(header: list[str], rows, trailer: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _qubit_params(config: RunConfig, temperature: float) -> qb.QubitBathParams:
+    return qb.QubitBathParams(
+        omega0=config.omega0,
+        gamma=config.gamma,
+        temperature=temperature,
+        alpha=config.alpha,
+    )
+
+
 def _build_pair(config: RunConfig):
     if config.model == "qubit":
-        params = qb.QubitBathParams(
-            omega0=config.omega0,
-            gamma=config.gamma,
-            temperature=config.temperature,
-            alpha=config.alpha,
+        return make_qubit_pair(
+            _qubit_params(config, config.temperature), config.p0_hot, config.p0_cold
         )
-        return QubitPair(params=params, p0_hot=config.p0_hot, p0_cold=config.p0_cold)
     rate_matrix = build_lambda_rate_matrix(
         config.e1,
         config.e2,
@@ -170,12 +174,7 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
         return 0
     if config.model != "qubit":
         raise ConfigError("qfi_mode = surface requires model = qubit")
-    params = qb.QubitBathParams(
-        omega0=config.omega0,
-        gamma=config.gamma,
-        temperature=config.temperature,
-        alpha=config.alpha,
-    )
+    params = _qubit_params(config, config.temperature)
     p_eq = qb.gibbs_population_qubit(config.omega0, config.temperature)
     preparations = list(np.linspace(config.p0_min, config.p0_max, config.p0_steps))
     if not any(abs(p - p_eq) < 1e-15 for p in preparations):
@@ -212,14 +211,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     if config.model != "qubit":
         raise ConfigError("the estimation protocol supports model = qubit only")
     manifest: list[str] = []
-
-    def params_at(temp: float) -> qb.QubitBathParams:
-        return qb.QubitBathParams(
-            omega0=config.omega0,
-            gamma=config.gamma,
-            temperature=temp,
-            alpha=config.alpha,
-        )
+    params_at = partial(_qubit_params, config)
 
     def finish(status: int) -> int:
         _write_text(out_dir / "manifest.txt", "\n".join(manifest) + "\n")

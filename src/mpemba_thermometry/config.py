@@ -56,6 +56,9 @@ class RunConfig:
 
 
 _VECTOR_KEYS = {"p_hot", "p_cold"}
+# the distances each model's states admit: |p - p_eq| for the qubit's scalar
+# population, a vector norm for the ladder's population vector
+_MODEL_NORMS = {"qubit": ("scalar_abs",), "lambda": ("euclidean", "total_variation")}
 
 
 def _parse_value(key: str, raw: str, kind: type):
@@ -108,6 +111,12 @@ def _validate(config: RunConfig) -> RunConfig:
         )
     if config.norm_kind not in ("", "scalar_abs", "euclidean", "total_variation"):
         raise ConfigError(f"unknown norm_kind {config.norm_kind!r}")
+    if config.norm_kind and config.norm_kind not in _MODEL_NORMS[config.model]:
+        raise ConfigError(
+            f"norm_kind = {config.norm_kind} does not fit model = {config.model}: scalar_abs "
+            "applies to scalar states only (qubit), euclidean and total_variation to "
+            "population vectors (lambda)"
+        )
     if config.delta_policy != "3se":
         try:
             float(config.delta_policy)

@@ -1,26 +1,25 @@
 """Paired hot/cold relaxation experiments against a common bath.
 
-These wrappers bundle a model, a pair of preparations, and the derived
-spectral/sensitivity data into one object exposing the uniform surface the
-detection, certification, and CLI layers consume: populations, temperature
-sensitivities, Fisher information, distances, and a default time grid scaled
-to the slowest rate present.
-
-Every ``hot_*``/``cold_*`` method takes ``t`` as a float or as a 1-D array of
-times and answers with one value (or population row) per time.
+One :class:`ProbePair` serves both probes.  :func:`make_qubit_pair` binds the
+two-level closed forms; :func:`make_lambda_pair` decomposes the generator once,
+binds the modal sums and keeps the spectral data.  Detection, certification
+and the CLI see one surface: populations, temperature sensitivities, Fisher
+information, a default time grid scaled to the slowest rate present, and the
+slow-mode data the theorem certificate compares.  Every ``hot_*``/``cold_*``
+evaluator takes ``t`` as a float or a 1-D array and answers per time.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import qubit as qb
 from .fisher import fisher_from_populations, qfi_equilibrium, qfi_qubit_closed_form
-from .mpemba import InversionRecord, detect_inversion
+from .mpemba import InversionRecord, detect_inversion, thermal_distance
 from .spectral import (
     ModalAmplitudes,
     RateMatrix,
@@ -33,134 +32,41 @@ from .spectral import (
     temperature_derivatives,
 )
 
-__all__ = ["QubitPair", "LambdaPair", "make_lambda_pair"]
-
-
-@dataclass(frozen=True)
-class QubitPair:
-    """Two-level probe prepared hot and cold against the same bath."""
-
-    params: qb.QubitBathParams
-    p0_hot: float
-    p0_cold: float
-
-    kind = "qubit"
-
-    def __post_init__(self) -> None:
-        q = qb.thermal_quantities(self.params)
-        if abs(self.p0_hot - q.p_eq) < abs(self.p0_cold - q.p_eq):
-            raise ValueError(
-                f"hot preparation {self.p0_hot} starts nearer equilibrium than "
-                f"cold {self.p0_cold} (p_eq={q.p_eq:.6g})"
-            )
-
-    @property
-    def equilibrium(self) -> float:
-        return qb.gibbs_population_qubit(self.params.omega0, self.params.temperature)
-
-    @property
-    def rate_hot(self) -> float:
-        return qb.effective_rate(self.params, self.p0_hot)
-
-    @property
-    def rate_cold(self) -> float:
-        return qb.effective_rate(self.params, self.p0_cold)
-
-    @property
-    def slow_rate(self) -> float:
-        return min(self.rate_hot, self.rate_cold)
-
-    def hot_population(self, t):
-        return qb.evolve_population(self.params, self.p0_hot, t)
-
-    def cold_population(self, t):
-        return qb.evolve_population(self.params, self.p0_cold, t)
-
-    def hot_dT_population(self, t):
-        return qb.dT_population(self.params, self.p0_hot, t)
-
-    def cold_dT_population(self, t):
-        return qb.dT_population(self.params, self.p0_cold, t)
-
-    def hot_fisher(self, t):
-        return qfi_qubit_closed_form(self.params, self.p0_hot, t)
-
-    def cold_fisher(self, t):
-        return qfi_qubit_closed_form(self.params, self.p0_cold, t)
-
-    def equilibrium_fisher(self) -> float:
-        return qfi_equilibrium(self.params.omega0, self.params.temperature)
-
-    def default_time_grid(self, points: int = 2000) -> np.ndarray:
-        return np.linspace(0.0, 10.0 / self.slow_rate, points)
-
-    def detect(
-        self,
-        delta_tol: float = 0.0,
-        norm_kind: str | None = None,
-        times: Sequence[float] | np.ndarray | None = None,
-    ) -> InversionRecord:
-        grid = self.default_time_grid() if times is None else np.asarray(times, dtype=float)
-        return detect_inversion(
-            self.hot_population,
-            self.cold_population,
-            self.equilibrium,
-            grid,
-            delta_tol=delta_tol,
-            norm_kind=norm_kind,
-        )
+__all__ = ["ProbePair", "make_qubit_pair", "make_lambda_pair"]
 
 
 @dataclass(frozen=True, eq=False)
-class LambdaPair:
-    """Three-level ladder probe with hot/cold preparations and cached spectral data."""
+class ProbePair:
+    """A probe prepared hot and cold against the same bath.
 
-    rate_matrix: RateMatrix
-    p_hot: np.ndarray
-    p_cold: np.ndarray
-    decomposition: SpectralDecomposition
-    derivatives: SpectralDerivatives
-    amps_hot: ModalAmplitudes
-    amps_cold: ModalAmplitudes
-    norm_kind: str = "euclidean"
+    ``slow_amplitude`` is the hot preparation's loading of the slowest
+    decaying mode (p0_hot - p_eq for the qubit, a_2 for the ladder), and
+    ``d_slow_rates`` the temperature derivatives of the slow rate seen by the
+    hot and the cold preparation.  The qubit's rate depends on the
+    preparation; the ladder's preparations share one generator, so its two
+    entries are the same dT lambda_2.  ``decomposition`` and the fields after
+    it are the ladder's spectral data, None for the qubit.
+    """
 
-    kind = "lambda"
-
-    @property
-    def equilibrium(self) -> np.ndarray:
-        return self.decomposition.stationary
-
-    @property
-    def slow_rate(self) -> float:
-        return float(self.decomposition.eigenvalues[1])
-
-    def _populations(self, amplitudes: ModalAmplitudes, t) -> np.ndarray:
-        # a float is a one-row grid
-        rows = modal_trajectory(self.decomposition, amplitudes, np.atleast_1d(t))
-        return rows if np.ndim(t) else rows[0]
-
-    def hot_population(self, t) -> np.ndarray:
-        return self._populations(self.amps_hot, t)
-
-    def cold_population(self, t) -> np.ndarray:
-        return self._populations(self.amps_cold, t)
-
-    def hot_dT_population(self, t) -> np.ndarray:
-        return dT_populations_modal(self.decomposition, self.amps_hot, self.derivatives, t)
-
-    def cold_dT_population(self, t) -> np.ndarray:
-        return dT_populations_modal(self.decomposition, self.amps_cold, self.derivatives, t)
-
-    def hot_fisher(self, t):
-        return fisher_from_populations(self.hot_population(t), self.hot_dT_population(t))
-
-    def cold_fisher(self, t):
-        return fisher_from_populations(self.cold_population(t), self.cold_dT_population(t))
-
-    def equilibrium_fisher(self) -> float:
-        return fisher_from_populations(
-            self.decomposition.stationary, self.derivatives.d_stationary
-        )
+    kind: str
+    p_hot: float | np.ndarray
+    p_cold: float | np.ndarray
+    equilibrium: float | np.ndarray
+    norm_kind: str
+    slow_rate: float
+    slow_amplitude: float
+    d_slow_rates: tuple[float, float]
+    hot_population: Callable
+    cold_population: Callable
+    hot_dT_population: Callable
+    cold_dT_population: Callable
+    hot_fisher: Callable
+    cold_fisher: Callable
+    equilibrium_fisher: Callable[[], float]
+    decomposition: SpectralDecomposition | None = None
+    derivatives: SpectralDerivatives | None = None
+    amps_hot: ModalAmplitudes | None = None
+    amps_cold: ModalAmplitudes | None = None
 
     def default_time_grid(self, points: int = 2000) -> np.ndarray:
         return np.linspace(0.0, 10.0 / self.slow_rate, points)
@@ -172,15 +78,67 @@ class LambdaPair:
         times: Sequence[float] | np.ndarray | None = None,
     ) -> InversionRecord:
         grid = self.default_time_grid() if times is None else np.asarray(times, dtype=float)
-        kind = self.norm_kind if norm_kind is None else norm_kind
         return detect_inversion(
             self.hot_population,
             self.cold_population,
             self.equilibrium,
             grid,
             delta_tol=delta_tol,
-            norm_kind=kind,
+            norm_kind=self.norm_kind if norm_kind is None else norm_kind,
         )
+
+
+def _check_ordering(p_hot, p_cold, equilibrium, norm_kind: str) -> None:
+    d_hot = thermal_distance(p_hot, equilibrium, norm_kind)
+    d_cold = thermal_distance(p_cold, equilibrium, norm_kind)
+    if d_hot < d_cold:
+        raise ValueError(
+            f"hot preparation starts nearer equilibrium ({d_hot:.6g} < {d_cold:.6g} "
+            f"in {norm_kind})"
+        )
+
+
+def make_qubit_pair(params: qb.QubitBathParams, p0_hot: float, p0_cold: float) -> ProbePair:
+    """Bind the two-level closed forms to both preparations."""
+    q = qb.thermal_quantities(params)
+    _check_ordering(p0_hot, p0_cold, q.p_eq, "scalar_abs")
+    return ProbePair(
+        kind="qubit",
+        p_hot=p0_hot,
+        p_cold=p0_cold,
+        equilibrium=q.p_eq,
+        norm_kind="scalar_abs",
+        slow_rate=min(qb.effective_rate(params, p0_hot), qb.effective_rate(params, p0_cold)),
+        slow_amplitude=p0_hot - q.p_eq,
+        d_slow_rates=(qb.dT_rate(params, p0_hot), qb.dT_rate(params, p0_cold)),
+        hot_population=partial(qb.evolve_population, params, p0_hot),
+        cold_population=partial(qb.evolve_population, params, p0_cold),
+        hot_dT_population=partial(qb.dT_population, params, p0_hot),
+        cold_dT_population=partial(qb.dT_population, params, p0_cold),
+        hot_fisher=partial(qfi_qubit_closed_form, params, p0_hot),
+        cold_fisher=partial(qfi_qubit_closed_form, params, p0_cold),
+        equilibrium_fisher=partial(qfi_equilibrium, params.omega0, params.temperature),
+    )
+
+
+def _modal_populations(
+    decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, t
+) -> np.ndarray:
+    # a float is a one-row grid
+    rows = modal_trajectory(decomposition, amplitudes, np.atleast_1d(t))
+    return rows if np.ndim(t) else rows[0]
+
+
+def _modal_fisher(
+    decomposition: SpectralDecomposition,
+    derivatives: SpectralDerivatives,
+    amplitudes: ModalAmplitudes,
+    t,
+):
+    return fisher_from_populations(
+        _modal_populations(decomposition, amplitudes, t),
+        dT_populations_modal(decomposition, amplitudes, derivatives, t),
+    )
 
 
 def make_lambda_pair(
@@ -188,27 +146,36 @@ def make_lambda_pair(
     p_hot: Sequence[float] | np.ndarray,
     p_cold: Sequence[float] | np.ndarray,
     norm_kind: str = "euclidean",
-) -> LambdaPair:
-    """Decompose once and bundle both preparations with their sensitivities."""
+) -> ProbePair:
+    """Decompose once and bind the modal sums to both preparations."""
     decomposition = decompose(rate_matrix)
     derivatives = temperature_derivatives(rate_matrix, decomposition)
     p_hot = np.asarray(p_hot, dtype=float)
     p_cold = np.asarray(p_cold, dtype=float)
     amps_hot = amplitudes_with_derivatives(decomposition, derivatives, p_hot)
     amps_cold = amplitudes_with_derivatives(decomposition, derivatives, p_cold)
-    d_hot = float(np.linalg.norm(p_hot - decomposition.stationary))
-    d_cold = float(np.linalg.norm(p_cold - decomposition.stationary))
-    if d_hot < d_cold:
-        raise ValueError(
-            f"hot preparation starts nearer equilibrium ({d_hot:.6g} < {d_cold:.6g})"
-        )
-    return LambdaPair(
-        rate_matrix=rate_matrix,
+    _check_ordering(p_hot, p_cold, decomposition.stationary, norm_kind)
+    d_slow_rate = float(derivatives.d_eigenvalues[1])
+    return ProbePair(
+        kind="lambda",
         p_hot=p_hot,
         p_cold=p_cold,
+        equilibrium=decomposition.stationary,
+        norm_kind=norm_kind,
+        slow_rate=float(decomposition.eigenvalues[1]),
+        slow_amplitude=float(amps_hot.amplitudes[1]),
+        d_slow_rates=(d_slow_rate, d_slow_rate),
+        hot_population=partial(_modal_populations, decomposition, amps_hot),
+        cold_population=partial(_modal_populations, decomposition, amps_cold),
+        hot_dT_population=partial(dT_populations_modal, decomposition, amps_hot, derivatives),
+        cold_dT_population=partial(dT_populations_modal, decomposition, amps_cold, derivatives),
+        hot_fisher=partial(_modal_fisher, decomposition, derivatives, amps_hot),
+        cold_fisher=partial(_modal_fisher, decomposition, derivatives, amps_cold),
+        equilibrium_fisher=partial(
+            fisher_from_populations, decomposition.stationary, derivatives.d_stationary
+        ),
         decomposition=decomposition,
         derivatives=derivatives,
         amps_hot=amps_hot,
         amps_cold=amps_cold,
-        norm_kind=norm_kind,
     )

@@ -48,7 +48,7 @@ from mpemba_thermometry.certificates import (
     lemma3_metric_bounds,
 )
 from mpemba_thermometry.fisher import qfi_equilibrium, qfi_qubit_closed_form
-from mpemba_thermometry.instances import QubitPair, make_lambda_pair
+from mpemba_thermometry.instances import ProbePair, make_lambda_pair, make_qubit_pair
 from mpemba_thermometry.oracle import finite_difference_dT, integrate_rate_equation
 from mpemba_thermometry.protocol import (
     ShotRecord,
@@ -92,12 +92,12 @@ def record(number: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def canonical_pair() -> QubitPair:
-    return QubitPair(
-        params=QubitBathParams(OMEGA0, GAMMA, T_TRUE, ALPHA),
-        p0_hot=P0_HOT,
-        p0_cold=P0_COLD,
-    )
+def canonical_params() -> QubitBathParams:
+    return QubitBathParams(OMEGA0, GAMMA, T_TRUE, ALPHA)
+
+
+def canonical_pair() -> ProbePair:
+    return make_qubit_pair(params=canonical_params(), p0_hot=P0_HOT, p0_cold=P0_COLD)
 
 
 def canonical_ladder_pair():
@@ -116,8 +116,8 @@ def test_criterion_01_crossing_time_and_reference_integrator():
     start = time.perf_counter()
     pair = canonical_pair()
     p_eq = gibbs_population_qubit(OMEGA0, T_TRUE)
-    rate_hot = effective_rate(pair.params, P0_HOT)
-    rate_cold = effective_rate(pair.params, P0_COLD)
+    rate_hot = effective_rate(canonical_params(), P0_HOT)
+    rate_cold = effective_rate(canonical_params(), P0_COLD)
     t_closed = math.log((P0_HOT - p_eq) / (P0_COLD - p_eq)) / (rate_hot - rate_cold)
 
     detected = pair.detect()
@@ -458,7 +458,7 @@ def test_criterion_10_no_feedback_means_no_crossing():
     detections = 0
     for p0_cold in np.linspace(0.13, 0.55, 10):
         for offset in np.linspace(0.03, 0.40, 10):
-            pair = QubitPair(params=params, p0_hot=p0_cold + offset, p0_cold=p0_cold)
+            pair = make_qubit_pair(params=params, p0_hot=p0_cold + offset, p0_cold=p0_cold)
             if pair.detect(delta_tol=0.0).detected:
                 detections += 1
 

@@ -9,10 +9,10 @@ import pytest
 
 from mpemba_thermometry import (
     QubitBathParams,
-    QubitPair,
     decompose,
     dT_populations_modal,
     make_lambda_pair,
+    make_qubit_pair,
     temperature_derivatives,
 )
 from mpemba_thermometry.certificates import (
@@ -206,7 +206,7 @@ class TestLemmaConstants:
 
 class TestVerifyTheorem:
     def test_canonical_qubit_certificate(self, canonical_params):
-        pair = QubitPair(canonical_params, P0_HOT, P0_COLD)
+        pair = make_qubit_pair(canonical_params, P0_HOT, P0_COLD)
         cert = verify_theorem(pair)
         assert cert.applicable
         assert cert.kind == "qubit"
@@ -237,8 +237,28 @@ class TestVerifyTheorem:
         assert cert.gap_bound_valid is None
         assert cert.residual_ratio > 1.0
 
+    def test_loaded_slow_mode_ladder_certificate(self, ladder_matrix):
+        # the hot preparation loads the slow mode, so the ladder path is case A
+        pair = make_lambda_pair(ladder_matrix, [0.1, 0.2, 0.7], [0.1, 0.3, 0.6])
+        cert = verify_theorem(pair)
+        assert cert.applicable
+        assert cert.case == "A"
+        # one generator for both preparations: the rate contrast is exactly 0
+        assert cert.kappa0 == 0.0
+        assert "kappa0 = 0\n" in cert.to_text()
+        assert cert.t_star == pytest.approx(0.532, abs=1e-3)
+        assert cert.lemma1 is not None and cert.lemma2 is not None
+        assert cert.constants is not None
+        for slack in (
+            cert.lemma1.fast_slack,
+            cert.lemma1.remainder_slack,
+            cert.lemma2.triangle_slack,
+            cert.lemma2.amp_bound_slack,
+        ):
+            assert slack >= -1e-12
+
     def test_no_inversion_yields_vacuous_record(self):
-        pair = QubitPair(QubitBathParams(1.0, 1.0, 0.5, 0.0), P0_HOT, P0_COLD)
+        pair = make_qubit_pair(QubitBathParams(1.0, 1.0, 0.5, 0.0), P0_HOT, P0_COLD)
         cert = verify_theorem(pair)
         assert not cert.applicable
         assert cert.t_star is None

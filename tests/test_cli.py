@@ -316,6 +316,43 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--output", str(tmp_path)]) == 2
         assert "scalar_abs applies to scalar states only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem", "protocol"])
+    @pytest.mark.parametrize(
+        "model, norm",
+        [("qubit", "euclidean"), ("qubit", "total_variation"), ("lambda", "scalar_abs")],
+    )
+    def test_norm_the_model_cannot_use_is_config_error(
+        self, tmp_path, capsys, command, model, norm
+    ):
+        # without feedback the qubit never crosses, so no distance is ever
+        # taken in the wrong norm: only the config check can reject it
+        cfg = write_config(tmp_path, f"model = {model}\nnorm_kind = {norm}\nalpha = 0.0\n")
+        assert main([command, "--config", cfg, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: norm_kind = {norm} does not fit model = {model}" in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem"])
+    def test_off_simplex_preparation_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "model = lambda\np_hot = 0.5,0.5,0.5\n")
+        assert main([command, "--config", cfg, "--output", str(tmp_path)]) == 2
+        assert "configuration error: populations sum to 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem"])
+    def test_preparations_are_ordered_in_the_configured_norm(self, tmp_path, capsys, command):
+        # farther from equilibrium in total variation, nearer in the euclidean norm
+        farther = "p_hot = 0.6145,0.0892,0.2963\np_cold = 0.1597,0.4252,0.4151\n"
+        # nearer in total variation, farther in the euclidean norm
+        nearer = "p_hot = 0.5,0.0,0.5\np_cold = 0.1,0.35,0.55\n"
+        tv = "model = lambda\nnorm_kind = total_variation\n"
+        cfg = write_config(tmp_path, tv + farther, name="farther.cfg")
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "farther")]) == 0
+        cfg = write_config(tmp_path, tv + nearer, name="nearer.cfg")
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "nearer")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: hot preparation starts nearer equilibrium" in err
+        assert "in total_variation" in err
+
     @pytest.mark.parametrize("command", ["relax", "qfi", "theorem"])
     def test_unphysical_rate_is_numerical_failure(self, tmp_path, capsys, command):
         # the cold preparation drives the effective rate below zero

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from mpemba_thermometry import (
     QubitBathParams,
-    QubitPair,
     crossover_time_bound,
     detect_inversion,
+    effective_rate,
     make_lambda_pair,
+    make_qubit_pair,
     qfi_gain,
     thermal_distance,
     theorem_hierarchy_check,
@@ -36,7 +37,7 @@ T_STAR_LADDER = 0.48787920210350055
 
 @pytest.fixture
 def canonical_pair(canonical_params):
-    return QubitPair(canonical_params, P0_HOT, P0_COLD)
+    return make_qubit_pair(canonical_params, P0_HOT, P0_COLD)
 
 
 class Recorder:
@@ -54,6 +55,28 @@ class Recorder:
 @pytest.fixture
 def ladder_pair(ladder_matrix):
     return make_lambda_pair(ladder_matrix, LADDER_HOT, LADDER_COLD)
+
+
+class TestPairOrdering:
+    # on the canonical ladder: farther from equilibrium than the cold
+    # preparation in total variation but nearer in the euclidean norm, and
+    # the reverse
+    TV_FARTHER = ([0.6145, 0.0892, 0.2963], [0.1597, 0.4252, 0.4151])
+    TV_NEARER = ([0.5, 0.0, 0.5], [0.1, 0.35, 0.55])
+
+    def test_ladder_checks_the_ordering_in_its_own_norm(self, ladder_matrix):
+        pair = make_lambda_pair(ladder_matrix, *self.TV_FARTHER, norm_kind="total_variation")
+        assert pair.detect().norm_kind == "total_variation"
+        with pytest.raises(ValueError, match=r"starts nearer equilibrium .* in euclidean"):
+            make_lambda_pair(ladder_matrix, *self.TV_FARTHER)
+        assert make_lambda_pair(ladder_matrix, *self.TV_NEARER).detect().norm_kind == "euclidean"
+        with pytest.raises(ValueError, match=r"starts nearer equilibrium .* in total_variation"):
+            make_lambda_pair(ladder_matrix, *self.TV_NEARER, norm_kind="total_variation")
+
+    def test_qubit_checks_the_ordering_in_scalar_abs(self, canonical_params):
+        with pytest.raises(ValueError, match=r"starts nearer equilibrium .* in scalar_abs"):
+            make_qubit_pair(canonical_params, P0_COLD, P0_HOT)
+        assert make_qubit_pair(canonical_params, P0_HOT, P0_COLD).norm_kind == "scalar_abs"
 
 
 class TestThermalDistance:
@@ -133,8 +156,8 @@ class TestDetectInversion:
             exact = crossover_time_bound(params, p0_hot, p0_cold)
             if exact is None or exact <= 0:
                 continue
-            pair = QubitPair(params, p0_hot, p0_cold)
-            if exact * pair.rate_cold > 8.0:
+            pair = make_qubit_pair(params, p0_hot, p0_cold)
+            if exact * effective_rate(params, p0_cold) > 8.0:
                 # the trajectories would cross below ~1e-5 distance, where
                 # localization is limited by cancellation, not the detector
                 continue
@@ -150,7 +173,7 @@ class TestDetectInversion:
         assert record.t_star == pytest.approx(T_STAR_LADDER, abs=1e-8)
 
     def test_no_crossing_without_feedback(self):
-        pair = QubitPair(QubitBathParams(1.0, 1.0, 0.5, 0.0), 0.9, 0.5)
+        pair = make_qubit_pair(QubitBathParams(1.0, 1.0, 0.5, 0.0), 0.9, 0.5)
         record = pair.detect()
         assert not record.detected
         assert record.t_star is None
@@ -200,7 +223,7 @@ class TestDetectInversion:
     @given(delta=st.floats(0.0, 0.01))
     @settings(max_examples=30, deadline=None)
     def test_larger_deadband_never_detects_earlier(self, delta):
-        pair = QubitPair(QubitBathParams(**CANONICAL), P0_HOT, P0_COLD)
+        pair = make_qubit_pair(QubitBathParams(**CANONICAL), P0_HOT, P0_COLD)
         times = np.linspace(0.0, 8.0, 400)
         base = detect_inversion(
             [pair.hot_population(t) for t in times],
