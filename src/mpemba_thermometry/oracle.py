@@ -29,6 +29,11 @@ __all__ = [
 # physical region.
 _POPULATION_MARGIN = 1e-6
 
+# Matrix mode buffers the states of up to this many steps and checks them in
+# one pair of reductions; the cap keeps the buffer small however long a
+# checkpoint gap is.
+_BLOCK_STEPS = 4096
+
 
 class IntegrationUnstableError(RuntimeError):
     """A state component left [0 - margin, 1 + margin] during integration."""
@@ -82,12 +87,17 @@ def _rk4_propagator(generator: np.ndarray, h: float) -> np.ndarray:
     return p
 
 
-def _check_physical(y: np.ndarray | float, t: float) -> None:
-    lo = float(np.min(y))
-    hi = float(np.max(y))
-    if lo < -_POPULATION_MARGIN or hi > 1.0 + _POPULATION_MARGIN:
+def _check_physical(states: np.ndarray, t0: float, h: float) -> None:
+    # Row k of ``states`` is the state at time t0 + k h; the first row that
+    # leaves the physical region is the one reported.
+    lo = states.min(axis=1)
+    hi = states.max(axis=1)
+    bad = np.flatnonzero((lo < -_POPULATION_MARGIN) | (hi > 1.0 + _POPULATION_MARGIN))
+    if bad.size:
+        k = bad[0]
         raise IntegrationUnstableError(
-            f"state left the physical region at t={t:.6g}: min={lo:.6g}, max={hi:.6g}"
+            f"state left the physical region at t={t0 + k * h:.6g}: "
+            f"min={lo[k]:.6g}, max={hi[k]:.6g}"
         )
 
 
@@ -129,7 +139,7 @@ def integrate_rate_equation(
 
     records = []
     t = times[0]
-    _check_physical(y, t)
+    _check_physical(np.reshape(y, (1, -1)), t, 0.0)
     records.append(np.array(y, copy=True) if matrix_mode else y)
 
     for target in times[1:]:
@@ -138,13 +148,20 @@ def integrate_rate_equation(
         h = gap / n_steps
         if matrix_mode:
             prop = _rk4_propagator(system, h)
-            for _ in range(n_steps):
-                y = prop @ y
-                _check_physical(y, t)
+            block = np.empty((min(n_steps, _BLOCK_STEPS), y.size))
+            for first in range(0, n_steps, len(block)):
+                rows = block[: n_steps - first]
+                # an unstable march may overflow in the steps after its first
+                # bad one; the block check below reports that first step
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for k in range(len(rows)):
+                        y = prop @ y
+                        rows[k] = y
+                _check_physical(rows, t + (first + 1) * h, h)
         else:
             for k in range(n_steps):
                 y = _rk4_step_scalar(system, t + k * h, y, h)
-            _check_physical(y, target)
+            _check_physical(np.reshape(y, (1, -1)), target, 0.0)
         t = target
         records.append(np.array(y, copy=True) if matrix_mode else y)
 

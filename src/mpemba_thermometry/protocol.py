@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -446,27 +446,32 @@ def mle_temperature(
     if not 0 < t_lo < t_hi:
         raise ValueError(f"invalid temperature interval ({t_lo}, {t_hi})")
 
-    def log_likelihood(temp: float) -> float:
+    def records_log_likelihood(populations: Iterable[float]) -> float:
+        # ``populations`` holds the model value of each record, in record order
         total = 0.0
-        for rec in records:
-            p = min(max(population_fn(rec.time, temp), 1e-12), 1.0 - 1e-12)
+        for rec, value in zip(records, populations):
+            p = min(max(value, 1e-12), 1.0 - 1e-12)
             total += rec.successes * math.log(p) + (rec.shots - rec.successes) * math.log(
                 1.0 - p
             )
         return total
 
+    def log_likelihood(temp: float) -> float:
+        return records_log_likelihood(population_fn(rec.time, temp) for rec in records)
+
     grid = np.linspace(t_lo, t_hi, grid_points)
-    model_spread = 0.0
-    for rec in records:
-        column = np.array([population_fn(rec.time, float(temp)) for temp in grid])
-        model_spread = max(model_spread, float(column.max() - column.min()))
+    # one model column per record, shared by the degeneracy test and the scan
+    columns = np.array(
+        [[population_fn(rec.time, float(temp)) for temp in grid] for rec in records]
+    )
+    model_spread = max(0.0, *(float(column.max() - column.min()) for column in columns))
     if model_spread < 1e-14:
         raise DegenerateModelError(
             "model populations are constant over the search interval; "
             "temperature is unidentifiable"
         )
 
-    scores = np.array([log_likelihood(float(temp)) for temp in grid])
+    scores = np.array([records_log_likelihood(columns[:, g]) for g in range(grid_points)])
     interior = np.flatnonzero(
         (scores[1:-1] >= scores[:-2]) & (scores[1:-1] >= scores[2:])
     )

@@ -92,11 +92,12 @@ class ThermalQuantities:
 
 def _cold(omega0: float, temperature: float) -> bool:
     if omega0 / temperature > COLD_CUTOFF:
+        # attributed to this line, not to the caller, so that the default
+        # filter shows a cold run's warning once whichever callers reach it
         warnings.warn(
             f"omega0/T = {omega0 / temperature:.3g} exceeds the overflow cutoff; "
             "returning zero-temperature limit",
             ColdLimitWarning,
-            stacklevel=3,
         )
         return True
     return False

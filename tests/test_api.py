@@ -2,6 +2,7 @@
 or class a module defines is exported, so stale exports cannot survive a
 deletion and new public names cannot go unlisted."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -33,3 +34,23 @@ def test_every_public_definition_is_exported(module):
     }
     unlisted = sorted(defined - set(module.__all__))
     assert not unlisted, f"{module.__name__} defines public names missing from __all__: {unlisted}"
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the oracle is the independent reference for the closed forms, so it
+    # may not reach them, by absolute or relative import
+    from mpemba_thermometry import oracle
+
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    package = [
+        name
+        for name in imported
+        if name.startswith(".") or name.split(".")[0] == "mpemba_thermometry"
+    ]
+    assert not package, f"oracle.py imports from the package: {package}"

@@ -422,3 +422,11 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         for name in ("relax", "qfi", "theorem", "protocol"):
             assert name in proc.stdout, proc.stderr
+
+    def test_cold_qubit_run_warns_once(self, tmp_path):
+        # every model call past the cutoff warns from one source line, so the
+        # default filter prints the warning once per run
+        cfg = write_config(tmp_path, "model = qubit\ntemperature = 0.001\n")
+        proc = run_console_script("relax", "--config", cfg, "--output", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("ColdLimitWarning") == 1, proc.stderr

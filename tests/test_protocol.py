@@ -527,6 +527,39 @@ class TestMleTemperature:
             )
         assert res.multimodal
 
+    def test_grid_scan_evaluates_the_model_once_per_grid_point(self, monkeypatch):
+        # one record: each likelihood evaluation is one model call, so the
+        # calls are the 64-point grid once, the golden-section points, and
+        # the final evaluation at t_hat
+        calls = []
+
+        def model(t, temp):
+            calls.append(temp)
+            return eq_model(t, temp)
+
+        golden = []
+        real = protocol._golden_section_maximize
+
+        def recording(f, lo, hi, xtol):
+            def g(x):
+                golden.append(x)
+                return f(x)
+
+            return real(g, lo, hi, xtol)
+
+        monkeypatch.setattr(protocol, "_golden_section_maximize", recording)
+        rec = ShotRecord(
+            shots=1000, successes=120.0, time=0.0, preparation="equilibrium", seed=0
+        )
+        res = mle_temperature(
+            [rec], model, (0.2, 1.0), fisher_fn=lambda t, T: qfi_equilibrium(1.0, T)
+        )
+        assert golden
+        assert calls[:64] == np.linspace(0.2, 1.0, 64).tolist()
+        assert calls[64:-1] == golden
+        assert calls[-1] == res.t_hat
+        assert len(calls) == 64 + len(golden) + 1
+
     def test_flat_model_is_unidentifiable(self):
         rec = ShotRecord(
             shots=100, successes=37.0, time=0.0, preparation="equilibrium", seed=0
