@@ -14,7 +14,8 @@ certificate says so rather than extrapolating.
 
 All modal machinery requires at least three levels; pairs without a spectral
 decomposition (the two-level probe) get the case split and the closed-form
-Fisher comparisons only.
+Fisher comparisons only.  :func:`verify_theorem` detects the crossing in the
+pair's own norm and checks the Fisher hierarchy only when there is one.
 """
 
 from __future__ import annotations
@@ -466,12 +467,12 @@ def verify_theorem(
     pair: ProbePair,
     t_grid: Sequence[float] | np.ndarray | None = None,
     delta_tol: float = 0.0,
-    norm_kind: str | None = None,
 ) -> TheoremCertificate:
     """Run detection, certify the bounding steps, and report the FI orderings.
 
-    With no inversion on the grid the result is a not-applicable record (the
-    claim is vacuous), not an error.  Both models get the same case split and
+    Detection runs in the pair's own norm.  With no inversion on the grid the
+    result is a not-applicable record (the claim is vacuous), not an error, and
+    the Fisher hierarchy is not checked.  Both models get the same case split and
     the Fisher comparisons at t*: case A when the hot preparation loads the
     slow mode, with kappa0 = |dT lambda_2,hot| - |dT lambda_2,cold| from the
     pair's ``d_slow_rates`` (exactly 0 for a ladder, whose preparations share
@@ -482,7 +483,7 @@ def verify_theorem(
     (nothing certified).
     """
     grid = pair.default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    record = pair.detect(delta_tol=delta_tol, norm_kind=norm_kind, times=grid)
+    record = pair.detect(delta_tol=delta_tol, times=grid)
     f_eq = pair.equilibrium_fisher()
     if not record.detected:
         return TheoremCertificate(applicable=False, kind=pair.kind, inversion=record, f_eq=f_eq)

@@ -125,17 +125,11 @@ def _time_grid(config: RunConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.t_steps)
 
 
-def _norm_or_default(config: RunConfig) -> str | None:
-    return config.norm_kind or None
-
-
 def cmd_relax(config: RunConfig, out_dir: Path) -> int:
     """Relaxation trajectories, distances, and the inversion record."""
     pair = _build_pair(config)
     times = _time_grid(config)
-    record = pair.detect(
-        delta_tol=config.delta_tol, norm_kind=_norm_or_default(config), times=times
-    )
+    record = pair.detect(delta_tol=config.delta_tol, times=times)
     hot = pair.hot_population(times)
     cold = pair.cold_population(times)
     eq = pair.equilibrium
@@ -196,12 +190,7 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
 def cmd_theorem(config: RunConfig, out_dir: Path) -> int:
     """Run the transient-advantage verification and write its certificate."""
     pair = _build_pair(config)
-    certificate = verify_theorem(
-        pair,
-        t_grid=_time_grid(config),
-        delta_tol=config.delta_tol,
-        norm_kind=_norm_or_default(config),
-    )
+    certificate = verify_theorem(pair, t_grid=_time_grid(config), delta_tol=config.delta_tol)
     _write_text(out_dir / "theorem_certificate.txt", certificate.to_text())
     return 0
 

@@ -134,8 +134,11 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"seed must be non-negative, got {config.seed}")
     if config.p0_steps < 2:
         raise ConfigError(f"p0_steps must be at least 2, got {config.p0_steps}")
-    if config.calib_t_points < 2:
-        raise ConfigError(f"calib_t_points must be at least 2, got {config.calib_t_points}")
+    if config.calib_t_points < 5:
+        raise ConfigError(
+            f"calib_t_points must be at least 5 (the Fisher map's 5-point temperature "
+            f"stencil), got {config.calib_t_points}"
+        )
     if not 0 < config.calib_t_min < config.calib_t_max:
         raise ConfigError(
             f"need 0 < calib_t_min < calib_t_max, got "

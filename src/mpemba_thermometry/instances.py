@@ -6,7 +6,8 @@ binds the modal sums and keeps the spectral data.  Detection, certification
 and the CLI see one surface: populations, temperature sensitivities, Fisher
 information, a default time grid scaled to the slowest rate present, and the
 slow-mode data the theorem certificate compares.  Every ``hot_*``/``cold_*``
-evaluator takes ``t`` as a float or a 1-D array and answers per time.
+evaluator takes ``t`` as a float or a 1-D array and answers per time.  A pair
+fixes its norm when it is made; the ordering check and every detection use it.
 """
 
 from __future__ import annotations
@@ -72,11 +73,9 @@ class ProbePair:
         return np.linspace(0.0, 10.0 / self.slow_rate, points)
 
     def detect(
-        self,
-        delta_tol: float = 0.0,
-        norm_kind: str | None = None,
-        times: Sequence[float] | np.ndarray | None = None,
+        self, delta_tol: float = 0.0, times: Sequence[float] | np.ndarray | None = None
     ) -> InversionRecord:
+        """Inversion scan of the two populations in the pair's own norm."""
         grid = self.default_time_grid() if times is None else np.asarray(times, dtype=float)
         return detect_inversion(
             self.hot_population,
@@ -84,7 +83,7 @@ class ProbePair:
             self.equilibrium,
             grid,
             delta_tol=delta_tol,
-            norm_kind=self.norm_kind if norm_kind is None else norm_kind,
+            norm_kind=self.norm_kind,
         )
 
 

@@ -6,6 +6,13 @@ D_hot(t) < D_cold(t) - delta for a distance D and tolerance delta.  The
 crossing time t* is the operationally interesting instant — after it, the hot
 preparation is the better thermometer in the sense quantified by the Fisher
 information comparisons elsewhere in the package.
+
+The three distances (|p - p_eq| for scalar states, euclidean and total
+variation for population vectors) are written once, in
+:func:`distance_series`; :func:`thermal_distance` is its one-row case.
+:func:`detect_inversion` takes both trajectories as callables of time: one
+call each on the whole grid, then float calls while bisecting the bracketing
+interval.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ class InversionRecord:
 class HierarchyReport:
     """Pointwise Fisher-information ordering after the crossover."""
 
-    applicable: bool
     times: np.ndarray
     hot_gt_cold: np.ndarray
     cold_ge_eq: np.ndarray
@@ -68,59 +74,47 @@ class HierarchyReport:
 
     @property
     def all_hold(self) -> bool:
-        return self.applicable and bool(
-            np.all(self.hot_gt_cold) and np.all(self.cold_ge_eq)
-        )
+        return bool(np.all(self.hot_gt_cold) and np.all(self.cold_ge_eq))
 
 
-def _resolve_norm(sample, norm_kind: str | None) -> str:
+def _norm_for(values: np.ndarray, norm_kind: str | None) -> str:
+    """Which distance fits: scalar_abs for a 1-D series of scalar states, a
+    vector norm (euclidean unless given) for 2-D population rows."""
+    vector = values.ndim == 2
     if norm_kind is None:
-        norm_kind = "scalar_abs" if np.ndim(sample) == 0 else "euclidean"
+        return "euclidean" if vector else "scalar_abs"
     if norm_kind not in _NORM_KINDS:
         raise ValueError(f"unknown norm_kind {norm_kind!r}; expected one of {_NORM_KINDS}")
+    if (norm_kind == "scalar_abs") == vector:
+        states = "population vectors" if vector else "scalar states"
+        raise ValueError(f"norm_kind {norm_kind!r} does not fit {states}")
     return norm_kind
 
 
-def thermal_distance(state, equilibrium, norm_kind: str | None = None) -> float:
-    """Distance of a state from equilibrium.
+def distance_series(values, equilibrium, norm_kind: str | None = None) -> np.ndarray:
+    """Distance from equilibrium at each time: the one place the distances live.
 
-    Defaults to |p - p_eq| for scalar (two-level) states and the euclidean
-    norm for population vectors; ``total_variation`` is also available.
-    """
-    norm_kind = _resolve_norm(state, norm_kind)
-    if np.ndim(state) == 0:
-        if norm_kind != "scalar_abs":
-            raise ValueError(f"norm_kind {norm_kind!r} needs a population vector")
-        return abs(float(state) - float(equilibrium))
-    diff = np.asarray(state, dtype=float) - np.asarray(equilibrium, dtype=float)
-    if norm_kind == "scalar_abs":
-        raise ValueError("scalar_abs applies to scalar states only")
-    if norm_kind == "euclidean":
-        return float(np.linalg.norm(diff))
-    return 0.5 * float(np.abs(diff).sum())
-
-
-def distance_series(values, equilibrium, norm_kind: str) -> np.ndarray:
-    """Distance from equilibrium at each time.
-
-    |p - p_eq| for a series of scalar states; for stacked population vectors
-    the ``norm_kind`` norm of each row, rejecting ``scalar_abs`` as
-    :func:`thermal_distance` does.
+    ``values`` is a series of scalar states (|p - p_eq| each) or of stacked
+    population rows (the euclidean or total-variation norm of each row).
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        return np.abs(arr - float(equilibrium))
+    norm_kind = _norm_for(arr, norm_kind)
     if norm_kind == "scalar_abs":
-        raise ValueError("scalar_abs applies to scalar states only")
+        return np.abs(arr - float(equilibrium))
     diff = arr - np.asarray(equilibrium, dtype=float)[None, :]
     if norm_kind == "euclidean":
         return np.linalg.norm(diff, axis=1)
     return 0.5 * np.abs(diff).sum(axis=1)
 
 
+def thermal_distance(state, equilibrium, norm_kind: str | None = None) -> float:
+    """Distance of one state from equilibrium: the one-row :func:`distance_series`."""
+    return float(distance_series(np.asarray(state, dtype=float)[None], equilibrium, norm_kind)[0])
+
+
 def detect_inversion(
-    hot,
-    cold,
+    hot: Callable,
+    cold: Callable,
     equilibrium,
     times: Sequence[float] | np.ndarray,
     delta_tol: float = 0.0,
@@ -128,13 +122,11 @@ def detect_inversion(
 ) -> InversionRecord:
     """Scan for the first time D_hot < D_cold - delta_tol on a grid.
 
-    ``hot`` and ``cold`` are either trajectory arrays aligned with ``times``
-    (scalars per point, or population rows) or callables.  A callable receives
-    the whole grid once and returns one state per time; the grid crossing is
-    then refined by bisection to 1e-9 in t, calling it with a float t on the
-    bracketing interval only.  With arrays t* is reported as the first
-    satisfying grid point.  Requires D_hot(0) >= D_cold(0): the labels encode
-    the initial ordering.
+    ``hot`` and ``cold`` map times to states.  Each receives the whole grid
+    once and returns one state per time (a scalar or a population row); the
+    grid crossing is then refined by bisection to 1e-9 in t, calling each with
+    a float t on the bracketing interval only.  Requires D_hot(0) >= D_cold(0):
+    the labels encode the initial ordering.
     """
     if delta_tol < 0:
         raise ValueError(f"delta_tol must be non-negative, got {delta_tol}")
@@ -144,15 +136,11 @@ def detect_inversion(
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
 
-    hot_callable = callable(hot)
-    cold_callable = callable(cold)
-    hot_values = np.asarray(hot(times) if hot_callable else hot)
-    cold_values = np.asarray(cold(times) if cold_callable else cold)
+    hot_values = np.asarray(hot(times), dtype=float)
+    cold_values = np.asarray(cold(times), dtype=float)
     if hot_values.shape[0] != times.size or cold_values.shape[0] != times.size:
         raise ValueError("trajectory length does not match the time grid")
-
-    sample = hot_values[0]
-    norm_kind = _resolve_norm(sample, norm_kind)
+    norm_kind = _norm_for(hot_values, norm_kind)
     d_hot = distance_series(hot_values, equilibrium, norm_kind)
     d_cold = distance_series(cold_values, equilibrium, norm_kind)
 
@@ -172,15 +160,11 @@ def detect_inversion(
     persistent = bool(np.all(inverted[first:]))
 
     t_star = float(times[first])
-    if first > 0 and hot_callable and cold_callable:
-        eq = equilibrium
+    if first > 0:
 
         def gap(t: float) -> float:
-            return (
-                thermal_distance(cold(t), eq, norm_kind)
-                - thermal_distance(hot(t), eq, norm_kind)
-                - delta_tol
-            )
+            d_cold_t, d_hot_t = distance_series([cold(t), hot(t)], equilibrium, norm_kind)
+            return d_cold_t - d_hot_t - delta_tol
 
         lo, hi = float(times[first - 1]), float(times[first])
         if gap(lo) >= 0.0:
@@ -239,25 +223,15 @@ def qfi_gain(fisher_hot, fisher_reference):
 
 def theorem_hierarchy_check(
     instance,
-    t_star: float | None,
+    t_star: float,
     t_grid: Sequence[float] | np.ndarray,
 ) -> HierarchyReport:
     """Check F_hot(t) > F_cold(t) >= F_eq pointwise for t >= t_star.
 
     ``instance`` provides hot_fisher(t), cold_fisher(t), equilibrium_fisher().
     Each of hot_fisher and cold_fisher is called once, with the whole array of
-    checked times, and returns one value per time.  With t_star None (no
-    inversion) the claim is vacuous and the report is marked not applicable.
+    checked times, and returns one value per time.
     """
-    if t_star is None:
-        empty = np.array([])
-        return HierarchyReport(
-            applicable=False,
-            times=empty,
-            hot_gt_cold=np.array([], dtype=bool),
-            cold_ge_eq=np.array([], dtype=bool),
-            first_violation_time=None,
-        )
     grid = np.asarray(t_grid, dtype=float)
     after = grid[grid >= t_star]
     if after.size == 0 or after[0] > t_star:
@@ -271,7 +245,6 @@ def theorem_hierarchy_check(
     violations = np.flatnonzero(~holds)
     first_violation = float(after[violations[0]]) if violations.size else None
     return HierarchyReport(
-        applicable=True,
         times=after,
         hot_gt_cold=hot_gt_cold,
         cold_ge_eq=cold_ge_eq,

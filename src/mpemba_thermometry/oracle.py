@@ -36,7 +36,7 @@ _BLOCK_STEPS = 4096
 
 
 class IntegrationUnstableError(RuntimeError):
-    """A state component left [0 - margin, 1 + margin] during integration."""
+    """A state component left [0 - margin, 1 + margin], or became NaN, during integration."""
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,10 @@ def _rk4_propagator(generator: np.ndarray, h: float) -> np.ndarray:
 
 def _check_physical(states: np.ndarray, t0: float, h: float) -> None:
     # Row k of ``states`` is the state at time t0 + k h; the first row that
-    # leaves the physical region is the one reported.
+    # is not inside the physical region (NaN included) is the one reported.
     lo = states.min(axis=1)
     hi = states.max(axis=1)
-    bad = np.flatnonzero((lo < -_POPULATION_MARGIN) | (hi > 1.0 + _POPULATION_MARGIN))
+    bad = np.flatnonzero(~((lo >= -_POPULATION_MARGIN) & (hi <= 1.0 + _POPULATION_MARGIN)))
     if bad.size:
         k = bad[0]
         raise IntegrationUnstableError(
@@ -114,7 +114,7 @@ def integrate_rate_equation(
     ``round(gap / dt)`` equal steps (at least one), so the effective step never
     exceeds ~dt.  ``system`` is either a scalar right-hand side ``f(t, p)`` or
     a constant generator matrix.  A state component escaping [0, 1] by more
-    than 1e-6 raises :class:`IntegrationUnstableError`; with
+    than 1e-6, or turning NaN, raises :class:`IntegrationUnstableError`; with
     ``clamp_negative=True`` small negative entries are clamped to 0 in the
     *recorded* states (the marching state is left untouched).
     """

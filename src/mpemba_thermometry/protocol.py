@@ -375,6 +375,8 @@ def fisher_map(
     """
     times = np.asarray(times, dtype=float)
     temps = np.asarray(temperatures, dtype=float)
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative (0 = noiseless), got {shots}")
     if temps.size < 5:
         raise ValueError("need at least 5 temperature knots for local quadratic fits")
     if np.any(np.diff(temps) <= 0):

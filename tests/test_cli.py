@@ -296,6 +296,15 @@ class TestExitCodes:
         assert main(["relax", "--config", cfg, "--output", str(tmp_path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_too_few_calibration_points_writes_nothing(self, tmp_path, capsys):
+        # fisher_map needs its 5-point stencil; the run must stop before any step
+        cfg = write_config(tmp_path, "calib_t_points = 3\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["protocol", "--config", cfg, "--output", str(out)]) == 2
+        assert "5-point temperature stencil" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_invalid_model_value(self, tmp_path):
         cfg = write_config(tmp_path, "model = spin_chain\n")
         assert main(["relax", "--config", cfg, "--output", str(tmp_path)]) == 2

@@ -71,6 +71,17 @@ def test_integrator_rejects_unphysical_excursions():
         integrate_rate_equation(lambda t, p: 5.0, 0.9, np.linspace(0.0, 1.0, 5))
 
 
+def test_scalar_mode_rejects_nan():
+    with pytest.raises(IntegrationUnstableError, match="min=nan"):
+        integrate_rate_equation(lambda t, p: math.nan, 0.5, np.array([0.0, 1.0]))
+
+
+def test_matrix_mode_rejects_nan():
+    generator = np.array([[math.nan, 0.0], [0.0, 0.0]])
+    with pytest.raises(IntegrationUnstableError, match="min=nan"):
+        integrate_rate_equation(generator, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+
+
 def test_matrix_mode_equals_a_plain_propagator_loop():
     # uneven gaps give each segment its own step count; the 9000-step segment
     # spans several check blocks

@@ -382,6 +382,10 @@ class TestFisherMap:
         with pytest.raises(ValueError):
             fisher_map(eq_model, [0.0], np.linspace(0.3, 0.7, 4))
 
+    def test_negative_shots_rejected(self):
+        with pytest.raises(ValueError, match="shots must be non-negative"):
+            fisher_map(eq_model, [0.0], np.linspace(0.3, 0.7, 5), shots=-5)
+
     def test_sampled_map_regularized_monotone_rowwise(self):
         temps = np.linspace(0.3, 0.7, 9)
         fm = fisher_map(eq_model, [0.0], temps, shots=50_000, seed=5)
