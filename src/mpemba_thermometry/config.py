@@ -130,8 +130,8 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"t_max must be positive, got {config.t_max}")
     if config.shots < 0:
         raise ConfigError(f"shots must be non-negative (0 = noiseless), got {config.shots}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {config.seed}")
+    if not 0 <= config.seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64) (a Philox key word), got {config.seed}")
     if config.p0_steps < 2:
         raise ConfigError(f"p0_steps must be at least 2, got {config.p0_steps}")
     if config.calib_t_points < 5:

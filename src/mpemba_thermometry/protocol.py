@@ -11,8 +11,12 @@ under a shared seed.
 
 The per-cell stages (the dynamical calibration and the sampled Fisher map)
 draw through one Philox per stage, reset to counter 0 and re-keyed to
-``(seed, cell)`` before each draw: the same draws as a fresh
-``sampling_stream(seed, cell)``, without building a generator per cell.
+``(seed, cell)`` before each draw from a state held as plain Python ints: the
+same draws as a fresh ``sampling_stream(seed, cell)``, without building a
+generator per cell.  Seeds and cells are Philox key words, so both must lie
+in [0, 2**64).  The sampled Fisher map fits all its rows, in both monotone
+directions, with one lock-step pool-adjacent-violators pass; ``pav_isotonic``
+is that pass's one-row case.
 
 ``shots = 0`` selects the noiseless idealization everywhere: empirical
 frequencies are replaced by exact model populations (and success counts become
@@ -144,6 +148,9 @@ class MleResult:
 def _check_key(seed: int, cell: int) -> None:
     if seed < 0 or cell < 0:
         raise ValueError(f"seed and cell must be non-negative, got ({seed}, {cell})")
+    # a Philox key is two unsigned 64-bit words
+    if seed >= 2**64 or cell >= 2**64:
+        raise ValueError(f"seed and cell must be below 2**64, got ({seed}, {cell})")
 
 
 def _check_draw(p_true: float, shots: int) -> None:
@@ -177,6 +184,47 @@ def sample_population(
     )
 
 
+def _pav_rows(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Non-decreasing pool-adjacent-violators fit of every row of ``y``, in lock-step.
+
+    Each row keeps its own stack of blocks (weight, mean, count).  Column k is
+    pushed onto every stack at once; then, while some rows have their top two
+    blocks out of order, those rows merge them with
+    ``(wa * ma + wb * mb) / (wa + wb)``, elementwise.  Each row gets the same
+    float operations in the same order as a sequential stack loop over it.
+    """
+    rows, n = y.shape
+    # the stacks, flat: row r's blocks sit at r * n, r * n + 1, ..., tip[r]
+    block_w = np.empty(rows * n)
+    block_mean = np.empty(rows * n)
+    block_n = np.empty(rows * n, dtype=np.intp)
+    first = np.arange(0, rows * n, n)
+    tip = first - 1
+    for k in range(n):
+        tip += 1
+        block_w[tip] = w[:, k]
+        block_mean[tip] = y[:, k]
+        block_n[tip] = 1
+        live = np.flatnonzero(tip > first)  # rows with at least two blocks
+        while live.size:
+            b = tip[live]
+            a = b - 1
+            mean_a = block_mean[a]
+            mean_b = block_mean[b]
+            out_of_order = mean_a > mean_b
+            if not out_of_order.any():
+                break
+            live, a, b = live[out_of_order], a[out_of_order], b[out_of_order]
+            wa, wb = block_w[a], block_w[b]
+            block_mean[a] = (wa * mean_a[out_of_order] + wb * mean_b[out_of_order]) / (wa + wb)
+            block_w[a] = wa + wb
+            block_n[a] += block_n[b]
+            tip[live] = a
+            live = live[a > first[live]]
+    filled = (np.arange(n) <= (tip - first)[:, None]).ravel()
+    return np.repeat(block_mean[filled], block_n[filled]).reshape(rows, n)
+
+
 def pav_isotonic(
     values: Sequence[float] | np.ndarray,
     weights: Sequence[float] | np.ndarray | None = None,
@@ -186,33 +234,14 @@ def pav_isotonic(
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("values must be a non-empty 1-d array")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("values must be finite")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != y.shape or np.any(w <= 0):
-        raise ValueError("weights must be positive and match values in shape")
-    if not increasing:
-        return -pav_isotonic(-y, w, increasing=True)
-
-    # blocks of (weight, mean, count), merged while out of order
-    block_w: list[float] = []
-    block_mean: list[float] = []
-    block_n: list[int] = []
-    for yi, wi in zip(y, w):
-        block_w.append(float(wi))
-        block_mean.append(float(yi))
-        block_n.append(1)
-        while len(block_mean) > 1 and block_mean[-2] > block_mean[-1]:
-            wa, wb = block_w[-2], block_w[-1]
-            merged = (wa * block_mean[-2] + wb * block_mean[-1]) / (wa + wb)
-            block_w[-2] = wa + wb
-            block_mean[-2] = merged
-            block_n[-2] += block_n[-1]
-            del block_w[-1], block_mean[-1], block_n[-1]
-    out = np.empty_like(y)
-    pos = 0
-    for mean, count in zip(block_mean, block_n):
-        out[pos : pos + count] = mean
-        pos += count
-    return out
+    if w.shape != y.shape or not np.all((w > 0) & np.isfinite(w)):
+        raise ValueError("weights must be finite, positive and match values in shape")
+    if increasing:
+        return _pav_rows(y[None], w[None])[0]
+    return -_pav_rows(-y[None], w[None])[0]
 
 
 def calibrate_equilibrium(
@@ -254,19 +283,29 @@ def _stage_sampler(shots: int, seed: int) -> Callable[[float, int], float]:
     One Philox serves the whole stage.  Before each draw it is reset to
     counter 0, an empty buffer and the key ``(seed, cell)``, which is the state
     of a fresh ``Philox(key=(seed, cell))``, so the draws equal those of
-    :func:`sampling_stream`.  Building a Philox per cell would also build a
+    :func:`sampling_stream`.  The state is held as plain Python ints, since the
+    ``Philox.state`` setter reads it element by element; only ``key[1]``
+    changes per draw.  Building a Philox per cell would also build a
     ``SeedSequence`` from OS entropy that the key then overrides.
     """
     bitgen = np.random.Philox(0)
-    generator = np.random.Generator(bitgen)
-    state = bitgen.state  # a fresh Philox's: counter 0, buffer_pos 4, has_uint32 0
+    binomial = np.random.Generator(bitgen).binomial
+    key = [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def frequency(p_true: float, cell: int) -> float:
         _check_draw(p_true, shots)
         _check_key(seed, cell)
-        state["state"]["key"] = np.array([seed, cell], dtype=np.uint64)
+        key[1] = cell
         bitgen.state = state
-        return int(generator.binomial(shots, p_true)) / shots
+        return int(binomial(shots, p_true)) / shots
 
     return frequency
 
@@ -297,7 +336,9 @@ def dynamical_calibration(
     ``2 M`` cells in time order.  Each preparation's populations come from
     one ``evolve_population`` call over the whole grid per temperature; the
     cells are drawn in time order and no cell past the first crossing is
-    drawn.
+    drawn.  That lazy stop is why the distances are written inline, one cell
+    at a time: ``abs(p_hat - p_eq_hat)`` is the scalar case of
+    :func:`mpemba.distance_series`' ``scalar_abs`` kernel.
     """
     temps = np.asarray(temperatures, dtype=float)
     times = np.asarray(time_grid, dtype=float)
@@ -306,6 +347,11 @@ def dynamical_calibration(
     if isinstance(delta_policy, str) and delta_policy != "3se":
         raise ValueError(f"unknown delta policy {delta_policy!r}")
     frequency = (lambda p, cell: p) if shots == 0 else _stage_sampler(shots, seed)
+    # the margin: three pooled standard errors per time point, else a constant
+    three_se = shots != 0 and isinstance(delta_policy, str)
+    delta = 0.0 if shots == 0 or three_se else float(delta_policy)
+    lo = 1.0 / (2.0 * shots) if three_se else 0.0
+    hi = 1.0 - lo
     out: dict[float, float | None] = {}
     stride = 2 * times.size + 1
     for j, temp in enumerate(temps.tolist()):
@@ -317,20 +363,17 @@ def dynamical_calibration(
         hot = evolve_population(params, p0_hot, times).tolist()
         cold = evolve_population(params, p0_cold, times).tolist()
         crossing: float | None = None
-        for i, t in enumerate(times.tolist()):
-            hot_hat = frequency(hot[i], base + 1 + 2 * i)
-            cold_hat = frequency(cold[i], base + 2 + 2 * i)
-            if shots == 0:
-                delta = 0.0
-            elif isinstance(delta_policy, str):
-                lo = 1.0 / (2.0 * shots)
-                ph = min(max(hot_hat, lo), 1.0 - lo)
-                pc = min(max(cold_hat, lo), 1.0 - lo)
+        for t, p_hot, p_cold, cell in zip(
+            times.tolist(), hot, cold, range(base + 1, base + stride, 2)
+        ):
+            hot_hat = frequency(p_hot, cell)
+            cold_hat = frequency(p_cold, cell + 1)
+            if three_se:
+                ph = min(max(hot_hat, lo), hi)
+                pc = min(max(cold_hat, lo), hi)
                 delta = 3.0 * math.sqrt(
                     ph * (1.0 - ph) / shots + pc * (1.0 - pc) / shots
                 )
-            else:
-                delta = float(delta_policy)
             if abs(hot_hat - p_eq_hat) < abs(cold_hat - p_eq_hat) - delta:
                 crossing = t
                 break
@@ -386,15 +429,16 @@ def fisher_map(
         rows[:, j] = population_fn(times, temp)
     if shots >= 1:
         frequency = _stage_sampler(shots, seed)
-        weights = np.full(temps.size, float(shots))
-        for i, row in enumerate(rows.tolist()):
-            base = cell_base + i * temps.size
-            sampled = np.array([frequency(p, base + j) for j, p in enumerate(row)])
-            inc = pav_isotonic(sampled, weights, increasing=True)
-            dec = pav_isotonic(sampled, weights, increasing=False)
-            sse_inc = float(np.sum((inc - sampled) ** 2))
-            sse_dec = float(np.sum((dec - sampled) ** 2))
-            rows[i] = inc if sse_inc <= sse_dec else dec
+        sampled = np.array(
+            [frequency(p, cell_base + k) for k, p in enumerate(rows.ravel().tolist())]
+        ).reshape(rows.shape)
+        # both directions of every row in one pass: decreasing = -increasing(-y)
+        both = np.vstack([sampled, -sampled])
+        fits = _pav_rows(both, np.full(both.shape, float(shots)))
+        inc, dec = fits[: times.size], -fits[times.size :]
+        sse_inc = np.sum((inc - sampled) ** 2, axis=1)
+        sse_dec = np.sum((dec - sampled) ** 2, axis=1)
+        rows = np.where((sse_inc <= sse_dec)[:, None], inc, dec)
     slopes = _local_quadratic_slopes(temps, rows)
     variance = rows * (1.0 - rows)
     zero = variance < 1e-12

@@ -305,6 +305,19 @@ class TestExitCodes:
         assert "5-point temperature stencil" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_seed_past_the_philox_key_word_writes_nothing(self, tmp_path, capsys, via):
+        # a Philox key word holds seeds below 2**64; 2**64 is a config error
+        # (exit 2), not an OverflowError escaping main
+        too_big = str(2**64)
+        cfg = write_config(tmp_path, f"seed = {too_big}\n" if via == "config" else "")
+        out = tmp_path / "out"
+        out.mkdir()
+        flag = ["--seed", too_big] if via == "flag" else []
+        assert main(["protocol", "--config", cfg, *flag, "--output", str(out)]) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_invalid_model_value(self, tmp_path):
         cfg = write_config(tmp_path, "model = spin_chain\n")
         assert main(["relax", "--config", cfg, "--output", str(tmp_path)]) == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mpemba_thermometry import QubitBathParams, protocol
 from mpemba_thermometry.fisher import qfi_equilibrium
+from mpemba_thermometry.mpemba import distance_series
 from mpemba_thermometry.protocol import (
     CELLS_DYNAMICAL,
     CELLS_ESTIMATE,
@@ -74,6 +75,27 @@ def per_row_slopes(knots: np.ndarray, row: np.ndarray) -> np.ndarray:
     return slopes
 
 
+def reference_pav(y: np.ndarray, w: np.ndarray, increasing: bool = True) -> np.ndarray:
+    """Pool-adjacent-violators one row at a time: a sequential stack of blocks."""
+    if not increasing:
+        return -reference_pav(-y, w)
+    block_w: list[float] = []
+    block_mean: list[float] = []
+    block_n: list[int] = []
+    for yi, wi in zip(y.tolist(), w.tolist()):
+        block_w.append(wi)
+        block_mean.append(yi)
+        block_n.append(1)
+        while len(block_mean) > 1 and block_mean[-2] > block_mean[-1]:
+            wa, wb = block_w[-2], block_w[-1]
+            merged = (wa * block_mean[-2] + wb * block_mean[-1]) / (wa + wb)
+            block_w[-2] = wa + wb
+            block_mean[-2] = merged
+            block_n[-2] += block_n[-1]
+            del block_w[-1], block_mean[-1], block_n[-1]
+    return np.repeat(block_mean, block_n)
+
+
 class TestSamplingStreams:
     def test_reproducible(self):
         a = sample_population(0.3, 1000, seed=1234, cell=7)
@@ -106,7 +128,7 @@ class TestSamplingStreams:
             sample_population(0.5, 0, seed=0)
 
     @given(
-        seed=st.integers(0, 2**63),
+        seed=st.one_of(st.integers(0, 2**63), st.integers(2**64 - 2**10, 2**64 - 1)),
         shots=st.one_of(st.sampled_from([1, 7, 100, 10_000, 50_000]), st.integers(1, 10**6)),
         cells=st.lists(
             st.tuples(
@@ -125,11 +147,19 @@ class TestSamplingStreams:
         frequency = protocol._stage_sampler(shots, seed)
         for cell, p in cells:
             assert frequency(p, cell) == sampled_frequency(p, shots, seed, cell)
+        # a rejected call leaves nothing behind for the next draw
+        with pytest.raises(ValueError):
+            frequency(1.5, cells[0][0])
+        with pytest.raises(ValueError):
+            frequency(0.5, 2**64)
+        cell, p = cells[-1]
+        assert frequency(p, cell) == sampled_frequency(p, shots, seed, cell)
 
     @pytest.mark.parametrize(
         "p, shots, seed, cell",
         [(1.2, 10, 0, 0), (-0.1, 10, 0, 0), (0.5, 0, 0, 0), (0.5, -3, 0, 0),
-         (0.5, 10, -1, 0), (0.5, 10, 0, -4), (2.0, 0, -1, -1)],
+         (0.5, 10, -1, 0), (0.5, 10, 0, -4), (2.0, 0, -1, -1),
+         (0.5, 10, 2**64, 0), (0.5, 10, 0, 2**64), (0.5, 10, 2**65, 2**64 + 1)],
     )
     def test_stage_sampler_rejects_what_sample_population_rejects(self, p, shots, seed, cell):
         with pytest.raises(ValueError) as expected:
@@ -190,6 +220,58 @@ class TestIsotonicFit:
         assert np.all(np.diff(out) >= -1e-12)
         assert out.mean() == pytest.approx(y.mean(), rel=1e-9, abs=1e-9)
         assert np.allclose(pav_isotonic(out), out, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "values, weights",
+        [([1.0, 2.0], [math.nan, 1.0]), ([3.0, math.nan, 1.0], None),
+         ([1.0, 2.0], [math.inf, 1.0]), ([math.inf, 0.0], None)],
+        ids=["nan-weight", "nan-value", "inf-weight", "inf-value"],
+    )
+    def test_non_finite_input_rejected(self, values, weights):
+        with pytest.raises(ValueError, match="finite"):
+            pav_isotonic(values, weights)
+
+    @given(
+        rows=st.integers(1, 6).flatmap(
+            lambda r: st.integers(1, 41).flatmap(
+                lambda n: st.tuples(
+                    st.lists(
+                        st.one_of(
+                            st.lists(st.sampled_from([0.1, 0.2, 0.3]), min_size=n, max_size=n),
+                            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                            st.sampled_from([[0.0] * n, [1.0] * n]),
+                        ),
+                        min_size=r,
+                        max_size=r,
+                    ),
+                    st.one_of(
+                        st.none(),
+                        st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n),
+                        st.lists(st.sampled_from([1.0, 2.0, 1e4]), min_size=n, max_size=n),
+                    ),
+                )
+            )
+        ),
+    )
+    @example(rows=([[3.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [1.0, 1.0, 2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_sequential_stack_loop_bit_for_bit(self, rows):
+        values, weights = rows
+        y = np.array(values, dtype=float)
+        w = np.ones(y.shape[1]) if weights is None else np.array(weights)
+
+        def bits(a):
+            return np.asarray(a).view(np.int64).tolist()
+
+        for row in y:
+            for increasing in (True, False):
+                got = pav_isotonic(row, None if weights is None else w, increasing=increasing)
+                assert bits(got) == bits(reference_pav(row, w, increasing))
+        # the Fisher map's layout: every row, then every row negated
+        stacked = np.vstack([y, -y])
+        got = protocol._pav_rows(stacked, np.broadcast_to(w, stacked.shape))
+        expected = [reference_pav(row, w) for row in stacked]
+        assert bits(got) == bits(expected)
 
 
 class TestCalibration:
@@ -294,6 +376,21 @@ class TestDynamicalCalibration:
         )
         # exact crossing 1.36715...; first grid time strictly past it is 1.4
         assert out[0.5] == pytest.approx(1.4, abs=1e-12)
+
+    @pytest.mark.parametrize("factory", ["FACTORY", "NO_FEEDBACK"])
+    @pytest.mark.parametrize("temp", [0.35, 0.5, 0.8])
+    def test_noiseless_crossing_is_the_scalar_distance_kernel(self, factory, temp):
+        # the inline |p - p_eq| comparison is distance_series' scalar_abs case
+        params = getattr(self, factory)(temp)
+        p_eq = gibbs_population_qubit(params.omega0, params.temperature)
+        hot = distance_series(evolve_population(params, 0.9, self.GRID), p_eq, "scalar_abs")
+        cold = distance_series(evolve_population(params, 0.5, self.GRID), p_eq, "scalar_abs")
+        crossed = np.flatnonzero(hot < cold)
+        expected = float(self.GRID[crossed[0]]) if crossed.size else None
+        out = dynamical_calibration(
+            getattr(self, factory), 0.9, 0.5, [temp], self.GRID, shots=0, seed=0
+        )
+        assert out == {temp: expected}
 
     def test_no_feedback_never_crosses(self):
         out = dynamical_calibration(
@@ -449,8 +546,8 @@ class TestFisherMap:
                 ]
             )
             weights = np.full(temps.size, float(shots))
-            inc = pav_isotonic(sampled, weights, increasing=True)
-            dec = pav_isotonic(sampled, weights, increasing=False)
+            inc = reference_pav(sampled, weights, increasing=True)
+            dec = reference_pav(sampled, weights, increasing=False)
             row = inc if np.sum((inc - sampled) ** 2) <= np.sum((dec - sampled) ** 2) else dec
             slopes = per_row_slopes(temps, row)
             variance = row * (1.0 - row)
