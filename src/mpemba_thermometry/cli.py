@@ -34,13 +34,12 @@ from .protocol import (
     ShotRecord,
     calibrate_equilibrium,
     dynamical_calibration,
-    effective_temperature,
     fisher_map,
     mle_temperature,
+    nearest_knot,
     sample_population,
 )
 from .spectral import (
-    AmbiguousTrackingError,
     DegenerateSpectrumError,
     RateMatrixError,
     build_lambda_rate_matrix,
@@ -51,7 +50,6 @@ __all__ = ["main", "cmd_relax", "cmd_qfi", "cmd_theorem", "cmd_protocol"]
 _NUMERICAL_ERRORS = (
     DivergentFisherError,
     DegenerateSpectrumError,
-    AmbiguousTrackingError,
     RateMatrixError,
     TrajectoryOrderingError,
     IntegrationUnstableError,
@@ -102,10 +100,11 @@ def _qubit_params(config: RunConfig, temperature: float) -> qb.QubitBathParams:
     )
 
 
-def _build_pair(config: RunConfig):
+def _build_pair(config: RunConfig, temperature: float):
+    """The configured probe pair against a bath at ``temperature``."""
     if config.model == "qubit":
         return make_qubit_pair(
-            _qubit_params(config, config.temperature), config.p0_hot, config.p0_cold
+            _qubit_params(config, temperature), config.p0_hot, config.p0_cold
         )
     rate_matrix = build_lambda_rate_matrix(
         config.e1,
@@ -113,7 +112,7 @@ def _build_pair(config: RunConfig):
         config.e3,
         config.kappa1,
         config.kappa2,
-        config.temperature,
+        temperature,
     )
     norm = config.norm_kind or "euclidean"
     return make_lambda_pair(
@@ -127,7 +126,7 @@ def _time_grid(config: RunConfig) -> np.ndarray:
 
 def cmd_relax(config: RunConfig, out_dir: Path) -> int:
     """Relaxation trajectories, distances, and the inversion record."""
-    pair = _build_pair(config)
+    pair = _build_pair(config, config.temperature)
     times = _time_grid(config)
     record = pair.detect(delta_tol=config.delta_tol, times=times)
     hot = pair.hot_population(times)
@@ -156,7 +155,7 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
     """Fisher-information trajectories, or the preparation-time surface."""
     times = _time_grid(config)
     if config.qfi_mode == "trajectory":
-        pair = _build_pair(config)
+        pair = _build_pair(config, config.temperature)
         f_eq = pair.equilibrium_fisher()
         f_hot = pair.hot_fisher(times)
         f_cold = pair.cold_fisher(times)
@@ -189,7 +188,7 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_theorem(config: RunConfig, out_dir: Path) -> int:
     """Run the transient-advantage verification and write its certificate."""
-    pair = _build_pair(config)
+    pair = _build_pair(config, config.temperature)
     certificate = verify_theorem(pair, t_grid=_time_grid(config), delta_tol=config.delta_tol)
     _write_text(out_dir / "theorem_certificate.txt", certificate.to_text())
     return 0
@@ -200,7 +199,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     if config.model != "qubit":
         raise ConfigError("the estimation protocol supports model = qubit only")
     manifest: list[str] = []
-    params_at = partial(_qubit_params, config)
+    probe_at = partial(_build_pair, config)
 
     def finish(status: int) -> int:
         _write_text(out_dir / "manifest.txt", "\n".join(manifest) + "\n")
@@ -222,7 +221,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         delta_policy = float(delta_policy)
 
     try:
-        curve = calibrate_equilibrium(config.omega0, temps, config.shots, config.seed)
+        curve = calibrate_equilibrium(probe_at, temps, config.shots, config.seed)
         _write_text(
             out_dir / "calibration.csv",
             _csv(["temperature", "p_fit"], np.column_stack([curve.knots, curve.values])),
@@ -233,14 +232,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 
     try:
         crossings = dynamical_calibration(
-            params_at,
-            config.p0_hot,
-            config.p0_cold,
-            temps,
-            times,
-            config.shots,
-            config.seed,
-            delta_policy=delta_policy,
+            probe_at, temps, times, config.shots, config.seed, delta_policy=delta_policy
         )
         _write_text(
             out_dir / "inversion_map.csv",
@@ -253,13 +245,16 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     except _NUMERICAL_ERRORS as exc:
         return fail("inversion_map", exc)
 
+    # the map and the likelihood model only the interrogated preparation; a
+    # pair per likelihood evaluation would also check the other one at every
+    # scanned temperature, up to 1.5 calib_t_max
     if config.preparation == "hot":
 
         def population_fn(t: float, temp: float) -> float:
-            return qb.evolve_population(params_at(temp), config.p0_hot, t)
+            return qb.evolve_population(_qubit_params(config, temp), config.p0_hot, t)
 
         def fisher_fn(t: float, temp: float) -> float:
-            return qfi_qubit_closed_form(params_at(temp), config.p0_hot, t)
+            return qfi_qubit_closed_form(_qubit_params(config, temp), config.p0_hot, t)
 
     else:
 
@@ -294,8 +289,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
                 p_eq_true, config.shots, config.seed, cell=CELLS_ESTIMATE
             )
             p_eq_hat = pilot.successes / pilot.shots
-        t_eff = effective_temperature(p_eq_hat, config.omega0)
-        column = int(np.argmin(np.abs(fi_map.temperatures - t_eff)))
+        column = nearest_knot(probe_at, fi_map.temperatures, p_eq_hat)
         t_interrogate = fi_map.argmax_time(column)
 
         p_true = population_fn(t_interrogate, true_temp)
@@ -326,7 +320,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
             ),
         )
         manifest.append("step_estimate = ok")
-    except (_NUMERICAL_ERRORS + (ValueError,)) as exc:
+    except _NUMERICAL_ERRORS as exc:
         return fail("estimate", exc)
 
     return finish(0)

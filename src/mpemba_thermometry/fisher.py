@@ -111,7 +111,9 @@ def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t):
                  - 2 (p0 - p_eq) (dT p_eq) t E (1-E) dT Gamma ] / (p (1-p)).
 
     ``t`` is a float or a 1-D array; array entries equal the float call at
-    that time bit for bit.
+    that time bit for bit.  A deterministic time, p (1 - p) < 1e-15, follows
+    :func:`fisher_from_populations`: it gives 0 when |dT p| < 1e-12 and raises
+    :class:`DivergentFisherError` otherwise.
     """
     t = _check_times(t)
     q = thermal_quantities(params)
@@ -119,24 +121,28 @@ def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t):
     d_rate = _dT_rate(params, p0, q)
     d_peq = _dT_gibbs(params, q)
     decay = _decay(rate, t)
-    p_t = q.p_eq + (p0 - q.p_eq) * decay  # evolve_population's expression and bits
-    variance = p_t * (1.0 - p_t)
-    if isinstance(t, np.ndarray):
-        low = np.flatnonzero(variance < _POPULATION_FLOOR)
-        deterministic = p_t[low[0]] if low.size else None
-    else:
-        deterministic = p_t if variance < _POPULATION_FLOOR else None
-    if deterministic is not None:
-        raise DivergentFisherError(
-            f"population {deterministic:.3g} is deterministic; Fisher information diverges"
-        )
     excess = p0 - q.p_eq
+    p_t = q.p_eq + excess * decay  # evolve_population's expression and bits
+    variance = p_t * (1.0 - p_t)
+    empty = variance < _POPULATION_FLOOR
+    if np.any(empty):
+        # dT_population's expression: the sensitivity the squared terms expand
+        slope = d_peq * (1.0 - decay) - excess * t * decay * d_rate
+        divergent = np.flatnonzero(empty & ~(np.abs(slope) < _SENSITIVITY_FLOOR))
+        if divergent.size:
+            raise DivergentFisherError(
+                f"population {np.atleast_1d(p_t)[divergent[0]]:.3g} is deterministic "
+                "while its sensitivity is not; Fisher information diverges"
+            )
     numerator = (
         d_peq**2 * _square(1.0 - decay)
         + excess**2 * _square(t) * _square(decay) * d_rate**2
         - 2.0 * excess * d_peq * t * decay * (1.0 - decay) * d_rate
     )
-    return numerator / variance
+    # a deterministic time that got past the check carries no information
+    if isinstance(t, np.ndarray):
+        return np.where(empty, 0.0, numerator / np.where(empty, 1.0, variance))
+    return 0.0 if empty else numerator / variance
 
 
 def qfi_equilibrium(omega0: float, temperature: float) -> float:

@@ -106,7 +106,6 @@ def integrate_rate_equation(
     initial_state: float | np.ndarray,
     times: np.ndarray,
     dt: float = 1e-4,
-    clamp_negative: bool = False,
 ) -> Trajectory:
     """March dp/dt = f(t, p) (or dp/dt = R p) with classical fixed-step RK4.
 
@@ -114,9 +113,7 @@ def integrate_rate_equation(
     ``round(gap / dt)`` equal steps (at least one), so the effective step never
     exceeds ~dt.  ``system`` is either a scalar right-hand side ``f(t, p)`` or
     a constant generator matrix.  A state component escaping [0, 1] by more
-    than 1e-6, or turning NaN, raises :class:`IntegrationUnstableError`; with
-    ``clamp_negative=True`` small negative entries are clamped to 0 in the
-    *recorded* states (the marching state is left untouched).
+    than 1e-6, or turning NaN, raises :class:`IntegrationUnstableError`.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -165,10 +162,7 @@ def integrate_rate_equation(
         t = target
         records.append(np.array(y, copy=True) if matrix_mode else y)
 
-    states = np.array(records)
-    if clamp_negative:
-        states = np.where(states < 0.0, 0.0, states)
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=times, states=np.array(records))
 
 
 def finite_difference_dT(

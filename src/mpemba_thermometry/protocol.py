@@ -1,13 +1,16 @@
 """Operational thermometry pipeline: sampling, calibration, mapping, estimation.
 
-Everything here works on finite-shot binomial records of a two-level probe's
-excited population (the estimation pipeline is two-level end to end; the
-multi-level machinery feeds it only through model evaluators).  Randomness is
-counter-based for reproducibility *and* order-independence: every sampling
-cell draws from ``Philox(key=(seed, cell_index))``, so re-running any subset
-of cells, in any order, reproduces the same draws.  Pipeline stages use
-disjoint cell ranges (the ``cell_base`` arguments) to stay non-overlapping
-under a shared seed.
+Everything here works on finite-shot binomial records of one measured
+population.  The calibration stages and the column choice of the estimate read
+the model from one factory, ``probe_at(T) -> ProbePair``, through the pair's
+``equilibrium``, ``hot_population`` and ``cold_population``; the Fisher map and
+the likelihood take closures over the preparation being interrogated.  No
+model module is imported here.  Randomness is counter-based for
+reproducibility *and* order-independence: every sampling cell draws from
+``Philox(key=(seed, cell_index))``, so re-running any subset of cells, in any
+order, reproduces the same draws.  Pipeline stages use disjoint cell ranges
+(calibration from 0, then ``CELLS_DYNAMICAL``, ``CELLS_FISHER_MAP`` and
+``CELLS_ESTIMATE``) to stay non-overlapping under a shared seed.
 
 The per-cell stages (the dynamical calibration and the sampled Fisher map)
 draw through one Philox per stage, reset to counter 0 and re-keyed to
@@ -33,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .qubit import QubitBathParams, evolve_population, gibbs_population_qubit
+from .instances import ProbePair
 
 __all__ = [
     "DegenerateModelError",
@@ -50,16 +53,18 @@ __all__ = [
     "dynamical_calibration",
     "fisher_map",
     "mle_temperature",
-    "effective_temperature",
+    "nearest_knot",
     "CELLS_DYNAMICAL",
     "CELLS_FISHER_MAP",
     "CELLS_ESTIMATE",
 ]
 
-# default cell-range bases for the pipeline stages (calibration starts at 0)
+# cell-range bases of the pipeline stages (calibration starts at 0)
 CELLS_DYNAMICAL = 2**32
 CELLS_FISHER_MAP = 2**33
 CELLS_ESTIMATE = 2**34
+# temperatures in the likelihood scan that brackets the maximum
+_SCAN_POINTS = 64
 
 
 class DegenerateModelError(RuntimeError):
@@ -91,26 +96,18 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class CalibrationCurve:
-    """Monotone piecewise-linear population-vs-temperature curve."""
+    """Non-decreasing piecewise-linear population-vs-temperature curve."""
 
     knots: np.ndarray
     values: np.ndarray
-    monotone: str = "increasing"
 
     def __post_init__(self) -> None:
         if self.knots.ndim != 1 or self.knots.shape != self.values.shape:
             raise ValueError("knots and values must be matching 1-d arrays")
         if np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        diffs = np.diff(self.values)
-        if self.monotone == "increasing":
-            if np.any(diffs < 0):
-                raise ValueError("values are not non-decreasing")
-        elif self.monotone == "decreasing":
-            if np.any(diffs > 0):
-                raise ValueError("values are not non-increasing")
-        else:
-            raise ValueError(f"unknown monotone kind {self.monotone!r}")
+        if np.any(np.diff(self.values) < 0):
+            raise ValueError("values are not non-decreasing")
 
     def __call__(self, temperature):
         # np.interp clamps outside the knot range, which is the documented
@@ -245,36 +242,34 @@ def pav_isotonic(
 
 
 def calibrate_equilibrium(
-    omega0: float,
+    probe_at: Callable[[float], ProbePair],
     temperatures: Sequence[float] | np.ndarray,
     shots: int,
     seed: int,
-    cell_base: int = 0,
 ) -> CalibrationCurve:
     """Sampled equilibrium populations per temperature, isotonized.
 
+    The populations are ``probe_at(T).equilibrium``, one pair per temperature.
     The equilibrium population increases with temperature, so the empirical
     frequencies are regularized by a non-decreasing isotonic fit before
-    interpolation.  Cell indices are ``cell_base + j`` for temperature j.
+    interpolation.  Temperature j draws from cell j.
     """
     temps = np.asarray(temperatures, dtype=float)
     if temps.ndim != 1 or temps.size < 2:
         raise ValueError("need at least two calibration temperatures")
     if np.any(np.diff(temps) <= 0):
         raise ValueError("temperatures must be strictly increasing")
+    exact = [probe_at(t).equilibrium for t in temps.tolist()]
     if shots == 0:
-        observed = np.array([gibbs_population_qubit(omega0, t) for t in temps])
+        observed = np.array(exact)
         weights = None
     else:
         observed = np.empty_like(temps)
-        for j, t in enumerate(temps):
-            record = sample_population(
-                gibbs_population_qubit(omega0, t), shots, seed, cell=cell_base + j
-            )
+        for j, p in enumerate(exact):
+            record = sample_population(p, shots, seed, cell=j)
             observed[j] = record.successes / record.shots
         weights = np.full_like(temps, float(shots))
-    fitted = pav_isotonic(observed, weights, increasing=True)
-    return CalibrationCurve(knots=temps, values=fitted, monotone="increasing")
+    return CalibrationCurve(knots=temps, values=pav_isotonic(observed, weights))
 
 
 def _stage_sampler(shots: int, seed: int) -> Callable[[float, int], float]:
@@ -311,32 +306,29 @@ def _stage_sampler(shots: int, seed: int) -> Callable[[float, int], float]:
 
 
 def dynamical_calibration(
-    params_factory: Callable[[float], QubitBathParams],
-    p0_hot: float,
-    p0_cold: float,
+    probe_at: Callable[[float], ProbePair],
     temperatures: Sequence[float] | np.ndarray,
     time_grid: Sequence[float] | np.ndarray,
     shots: int,
     seed: int,
     delta_policy: str | float = "3se",
-    cell_base: int = CELLS_DYNAMICAL,
 ) -> dict[float, float | None]:
     """Empirical crossing times from finite-shot distance comparisons.
 
-    For each temperature, both preparations are sampled along the time grid
-    together with an equilibrium reference, and the first grid time where
-    D_hot < D_cold - delta is recorded (None when no crossing clears the
-    margin).  The default margin policy ``"3se"`` sets delta to three combined
+    For each temperature T, both preparations of ``probe_at(T)`` are sampled
+    along the time grid together with an equilibrium reference, and the first
+    grid time where D_hot < D_cold - delta is recorded (None when no crossing
+    clears the margin).  The default margin policy ``"3se"`` sets delta to three combined
     binomial standard errors, with frequencies clipped to [1/(2 shots),
     1 - 1/(2 shots)] so empty cells do not produce a zero margin; a float sets
     a constant margin; the noiseless mode (shots = 0) uses delta = 0.
 
     Cell layout per temperature j, with M time points: equilibrium reference
-    at ``cell_base + j (2 M + 1)``, then hot/cold pairs at the following
+    at ``CELLS_DYNAMICAL + j (2 M + 1)``, then hot/cold pairs at the following
     ``2 M`` cells in time order.  Each preparation's populations come from
-    one ``evolve_population`` call over the whole grid per temperature; the
-    cells are drawn in time order and no cell past the first crossing is
-    drawn.  That lazy stop is why the distances are written inline, one cell
+    one pair evaluation over the whole grid per temperature; the cells are
+    drawn in time order and no cell past the first crossing is drawn.  That
+    lazy stop is why the distances are written inline, one cell
     at a time: ``abs(p_hat - p_eq_hat)`` is the scalar case of
     :func:`mpemba.distance_series`' ``scalar_abs`` kernel.
     """
@@ -355,13 +347,11 @@ def dynamical_calibration(
     out: dict[float, float | None] = {}
     stride = 2 * times.size + 1
     for j, temp in enumerate(temps.tolist()):
-        params = params_factory(temp)
-        base = cell_base + j * stride
-        p_eq_hat = frequency(
-            gibbs_population_qubit(params.omega0, params.temperature), base
-        )
-        hot = evolve_population(params, p0_hot, times).tolist()
-        cold = evolve_population(params, p0_cold, times).tolist()
+        pair = probe_at(temp)
+        base = CELLS_DYNAMICAL + j * stride
+        p_eq_hat = frequency(pair.equilibrium, base)
+        hot = pair.hot_population(times).tolist()
+        cold = pair.cold_population(times).tolist()
         crossing: float | None = None
         for t, p_hot, p_cold, cell in zip(
             times.tolist(), hot, cold, range(base + 1, base + stride, 2)
@@ -402,14 +392,13 @@ def fisher_map(
     temperatures: Sequence[float] | np.ndarray,
     shots: int = 0,
     seed: int = 0,
-    cell_base: int = CELLS_FISHER_MAP,
 ) -> FisherMap:
     """Per-shot Fisher information over a (time x temperature) grid.
 
     Populations come from ``population_fn(times, T)``, called once per
     temperature with the whole time array; it returns one population per time,
     or a scalar that broadcasts over them.  They are sampled binomially when
-    ``shots >= 1``, cell index ``cell_base + i * len(temperatures) + j``.
+    ``shots >= 1``, cell index ``CELLS_FISHER_MAP + i * len(temperatures) + j``.
     Sampled rows are regularized with an isotonic fit in the better-fitting
     direction; exactly computed rows are used as-is (smooth non-monotone rows
     must not be flattened).  The temperature derivative at each knot comes
@@ -430,7 +419,7 @@ def fisher_map(
     if shots >= 1:
         frequency = _stage_sampler(shots, seed)
         sampled = np.array(
-            [frequency(p, cell_base + k) for k, p in enumerate(rows.ravel().tolist())]
+            [frequency(p, CELLS_FISHER_MAP + k) for k, p in enumerate(rows.ravel().tolist())]
         ).reshape(rows.shape)
         # both directions of every row in one pass: decreasing = -increasing(-y)
         both = np.vstack([sampled, -sampled])
@@ -471,8 +460,7 @@ def mle_temperature(
     observations: Sequence[ShotRecord],
     population_fn: Callable[[float, float], float],
     t_interval: tuple[float, float],
-    fisher_fn: Callable[[float, float], float] | None = None,
-    grid_points: int = 64,
+    fisher_fn: Callable[[float, float], float],
 ) -> MleResult:
     """Maximum-likelihood temperature from binomial records.
 
@@ -481,9 +469,8 @@ def mle_temperature(
     closures).  A 64-point scan brackets the maximum and golden-section search
     refines it to 1e-8 absolute; boundary maxima and multimodal scans are
     flagged on the result and warned about.  The error bar comes from the
-    total Fisher information of the records at the estimate, using
-    ``fisher_fn(time, T)`` when given and a central-difference fallback
-    otherwise.
+    total per-shot Fisher information ``fisher_fn(time, T)`` of the records at
+    the estimate.
     """
     records = list(observations)
     if not records:
@@ -505,7 +492,7 @@ def mle_temperature(
     def log_likelihood(temp: float) -> float:
         return records_log_likelihood(population_fn(rec.time, temp) for rec in records)
 
-    grid = np.linspace(t_lo, t_hi, grid_points)
+    grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
     # one model column per record, shared by the degeneracy test and the scan
     columns = np.array(
         [[population_fn(rec.time, float(temp)) for temp in grid] for rec in records]
@@ -517,7 +504,7 @@ def mle_temperature(
             "temperature is unidentifiable"
         )
 
-    scores = np.array([records_log_likelihood(columns[:, g]) for g in range(grid_points)])
+    scores = np.array([records_log_likelihood(columns[:, g]) for g in range(_SCAN_POINTS)])
     interior = np.flatnonzero(
         (scores[1:-1] >= scores[:-2]) & (scores[1:-1] >= scores[2:])
     )
@@ -530,7 +517,7 @@ def mle_temperature(
         )
     best = int(np.argmax(scores))
     lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, grid_points - 1)])
+    hi = float(grid[min(best + 1, _SCAN_POINTS - 1)])
     # 1e-10 stopping width leaves comfortable margin on the documented
     # 1e-8 localization guarantee
     t_hat = _golden_section_maximize(log_likelihood, lo, hi, 1e-10)
@@ -544,14 +531,7 @@ def mle_temperature(
             stacklevel=2,
         )
 
-    def fallback_fisher(time: float, temp: float) -> float:
-        h = 1e-6 * temp
-        slope = (population_fn(time, temp + h) - population_fn(time, temp - h)) / (2.0 * h)
-        p = min(max(population_fn(time, temp), 1e-12), 1.0 - 1e-12)
-        return slope * slope / (p * (1.0 - p))
-
-    per_shot = fisher_fn if fisher_fn is not None else fallback_fisher
-    total_info = sum(rec.shots * per_shot(rec.time, t_hat) for rec in records)
+    total_info = sum(rec.shots * fisher_fn(rec.time, t_hat) for rec in records)
     total_shots = sum(rec.shots for rec in records)
     stderr = math.inf if total_info <= 0 else total_info**-0.5
     return MleResult(
@@ -564,17 +544,24 @@ def mle_temperature(
     )
 
 
-def effective_temperature(p_measured: float, omega0: float) -> float:
-    """Invert the equilibrium population: T_eff = omega0 / ln(1/p - 1).
+def nearest_knot(
+    probe_at: Callable[[float], ProbePair], knots: Sequence[float] | np.ndarray, p_measured: float
+) -> int:
+    """Index of the knot whose temperature best reproduces an equilibrium population.
 
-    Defined for 0 < p < 1/2 (a two-level probe in equilibrium is never more
-    than half excited).
+    With g the equilibrium ``probe_at(m).equilibrium`` at each midpoint m
+    between neighbouring knots, knot k is chosen when g[k-1] < p <= g[k]: the
+    knot nearest the temperature whose equilibrium is ``p_measured``.  A
+    population outside the calibrated range clamps to the edge knot, and a
+    population equal to a midpoint's equilibrium goes to the lower knot.  The
+    equilibrium must increase strictly across the midpoints.
     """
-    if omega0 <= 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    if not 0.0 < p_measured < 0.5:
-        raise ValueError(
-            f"measured population {p_measured} outside (0, 0.5); no equilibrium "
-            "temperature reproduces it"
+    knots = np.asarray(knots, dtype=float)
+    midpoints = 0.5 * (knots[:-1] + knots[1:])
+    g = np.array([probe_at(m).equilibrium for m in midpoints.tolist()])
+    if np.any(np.diff(g) <= 0):
+        raise DegenerateModelError(
+            "the equilibrium population does not increase strictly across the "
+            "calibration knots; the measured population cannot pick one"
         )
-    return omega0 / math.log(1.0 / p_measured - 1.0)
+    return int(np.searchsorted(g, p_measured))

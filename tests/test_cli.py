@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import mpemba_thermometry
+from mpemba_thermometry import make_qubit_pair
 from mpemba_thermometry.cli import _csv, _fmt, main
 from mpemba_thermometry.fisher import qfi_equilibrium
-from mpemba_thermometry.protocol import calibrate_equilibrium, fisher_map
+from mpemba_thermometry.protocol import BoundaryMaximumWarning, calibrate_equilibrium, fisher_map
 from mpemba_thermometry.qubit import (
     ColdLimitWarning,
     QubitBathParams,
@@ -124,6 +125,21 @@ class TestQfiCommand:
         preparations = np.unique(data[:, 0])
         assert preparations.size == 5  # the requested grid plus equilibrium
         assert np.min(np.abs(preparations - p_eq)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "preparation",
+        ["p0_cold = 0.0\n", "p0_hot = 1.0\nalpha = 0.0\n"],
+        ids=["ground", "excited"],
+    )
+    def test_pure_preparation_opens_with_zero_information(self, tmp_path, preparation):
+        # p(1 - p) vanishes at t = 0 together with dT p, so the row is 0 as in
+        # the ladder's Fisher sum, not a divergence
+        cfg = write_config(tmp_path, preparation)
+        assert main(["qfi", "--config", cfg, "--output", str(tmp_path)]) == 0
+        data = numeric(read_table(tmp_path / "qfi.csv")[1])
+        column = 2 if "p0_cold" in preparation else 1
+        assert data[0, column] == 0.0
+        assert np.all(data[1:, column] > 0.0)
 
     def test_surface_requires_qubit_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "qfi_mode = surface\nmodel = lambda\n")
@@ -239,18 +255,49 @@ class TestProtocolCommand:
         assert (a / "calibration.csv").read_bytes() != (c / "calibration.csv").read_bytes()
 
     def test_step_failure_writes_partial_manifest(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "shots = 0\nalpha = 20.0\np0_hot = 0.05\np0_cold = 0.02\n",
-        )
+        # the hot preparation's rate turns negative at the upper calibration
+        # temperatures, where the first stage builds its pairs
+        cfg = write_config(tmp_path, "alpha = 6.0\np0_hot = 0.0\np0_cold = 0.02\n")
         assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 3
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert manifest[0] == "step_calibration = ok"
-        assert manifest[1].startswith("step_inversion_map = failed:")
-        assert manifest[2] == "step_fisher_map = skipped"
-        assert manifest[3] == "step_estimate = skipped"
+        assert manifest[0].startswith("step_calibration = failed:")
+        assert "non-positive" in manifest[0]
+        assert manifest[1:] == [
+            "step_inversion_map = skipped",
+            "step_fisher_map = skipped",
+            "step_estimate = skipped",
+        ]
         assert "failed" in capsys.readouterr().err
-        assert not (tmp_path / "fisher_map.csv").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.txt", "run.cfg"]
+
+    def test_single_shot_writes_every_artifact(self, tmp_path):
+        # the one-shot pilot counts 0 successes: below the calibrated range,
+        # so the estimate interrogates the first knot's best time; one shot
+        # cannot place the likelihood maximum inside the search interval
+        cfg = write_config(tmp_path, "shots = 1\n")
+        with pytest.warns(BoundaryMaximumWarning):
+            assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 0
+        for name in PROTOCOL_FILES:
+            assert (tmp_path / name).exists()
+        assert (tmp_path / "manifest.txt").read_text().splitlines()[-1] == "step_estimate = ok"
+
+    def test_ordering_flip_at_a_knot_writes_nothing(self, tmp_path, capsys):
+        # p0_hot = 0.3 sits nearer equilibrium than p0_cold = 0.05 once p_eq
+        # passes 0.175, which the upper calibration temperatures reach
+        cfg = write_config(tmp_path, "p0_hot = 0.3\np0_cold = 0.05\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["protocol", "--config", cfg, "--output", str(out)]) == 2
+        assert "hot preparation starts nearer equilibrium" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_estimate_checks_only_the_interrogated_preparation(self, tmp_path):
+        # the likelihood scan reaches 1.5 calib_t_max, where the ground-state
+        # cold preparation's rate would turn negative; the hot closures never
+        # evaluate it
+        cfg = write_config(tmp_path, "alpha = 4.0\np0_cold = 0.0\n")
+        assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "estimate.csv").exists()
 
     def test_tables_equal_cell_by_cell_text(self, tmp_path):
         cfg = write_config(
@@ -259,7 +306,10 @@ class TestProtocolCommand:
         assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 0
         temps = np.linspace(0.3, 0.7, 6)
         times = np.linspace(0.0, 6.0, 21)
-        curve = calibrate_equilibrium(1.0, temps, 10_000, 7)
+        probe_at = lambda T: make_qubit_pair(  # noqa: E731
+            QubitBathParams(1.0, 1.0, T, 1.0), 0.9, 0.5
+        )
+        curve = calibrate_equilibrium(probe_at, temps, 10_000, 7)
         expected = "temperature,p_fit\n" + "".join(
             f"{_fmt(t)},{_fmt(v)}\n" for t, v in zip(curve.knots, curve.values)
         )
@@ -392,10 +442,14 @@ class TestExitCodes:
         assert "stationary population of level 3" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # a fully inverted preparation carries divergent information at t = 0
-        cfg = write_config(tmp_path, "p0_hot = 1.0\n")
-        assert main(["qfi", "--config", cfg, "--output", str(tmp_path)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        # omega0/T = 1000: the equilibrium reference of the gain is deterministic
+        # while its sensitivity is not defined past the cold cutoff
+        cfg = write_config(tmp_path, "temperature = 0.001\n")
+        with pytest.warns(ColdLimitWarning):
+            code = main(["qfi", "--config", cfg, "--output", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: equilibrium population 0 is deterministic" in err
 
 
 def test_float_table_writes_the_bytes_of_fmt():

@@ -17,7 +17,7 @@ from mpemba_thermometry import (
     qfi_qubit_closed_form,
 )
 from mpemba_thermometry.fisher import DivergentFisherError, qfi_short_time
-from mpemba_thermometry.qubit import dT_population, evolve_population
+from mpemba_thermometry.qubit import dT_population, evolve_population, gibbs_population_qubit
 from mpemba_thermometry.spectral import (
     amplitudes_with_derivatives,
     decompose,
@@ -27,7 +27,6 @@ from mpemba_thermometry.spectral import (
 )
 
 from conftest import (
-    CANONICAL,
     P0_COLD,
     P0_HOT,
     random_ladder,
@@ -100,10 +99,30 @@ class TestTrajectoryFisher:
         late = qfi_qubit_closed_form(canonical_params, P0_HOT, 60.0)
         assert late == pytest.approx(F_EQ, rel=1e-12)
 
-    def test_deterministic_preparation_diverges_immediately(self):
-        params = QubitBathParams(**CANONICAL)
-        with pytest.raises(DivergentFisherError):
-            qfi_qubit_closed_form(params, 1.0, 0.0)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("p0", [0.0, 1.0])
+    def test_pure_preparation_opens_with_zero_information(self, p0, alpha):
+        # at t = 0 both p (1 - p) and dT p vanish: the empty-level rule of
+        # fisher_from_populations gives 0, and later times are unaffected
+        params = QubitBathParams(1.0, 1.0, 0.5, alpha)
+        assert dT_population(params, p0, 0.0) == 0.0
+        assert qfi_qubit_closed_form(params, p0, 0.0) == 0.0
+        f = qfi_qubit_closed_form(params, p0, np.array([0.0, 0.5, 2.0]))
+        assert f[0] == 0.0
+        assert f[1:].tolist() == [qfi_qubit_closed_form(params, p0, t) for t in (0.5, 2.0)]
+        assert np.all(f[1:] > 0.0)
+
+    def test_deterministic_population_with_sensitivity_diverges(self):
+        # feedback that nearly cancels the ground state's rate: over 1e-7 the
+        # population stays exactly 0 while dT p is ~ -5.5e-8, far above 1e-12
+        p_eq = gibbs_population_qubit(1.0, 0.5)
+        params = QubitBathParams(1.0, 1.0, 0.5, (1.0 - 1e-10) / p_eq)
+        assert evolve_population(params, 0.0, 1e-7) == 0.0
+        assert abs(dT_population(params, 0.0, 1e-7)) > 1e-12
+        with pytest.raises(DivergentFisherError, match="sensitivity is not"):
+            qfi_qubit_closed_form(params, 0.0, 1e-7)
+        with pytest.raises(DivergentFisherError, match="sensitivity is not"):
+            qfi_qubit_closed_form(params, 0.0, np.array([0.0, 1e-7, 1.0]))
 
 
 class TestShortTime:
@@ -241,9 +260,7 @@ class TestClosedFormTimeArrays:
         assert f[1] == pytest.approx(F_HOT_AT_TSTAR, rel=1e-10)
         assert qfi_gain(f, F_EQ)[0] == -math.inf
 
-    def test_deterministic_row_and_negative_time_rejected(self, canonical_params):
-        with pytest.raises(DivergentFisherError):
-            qfi_qubit_closed_form(canonical_params, 1.0, np.array([0.0, 1.0]))
+    def test_negative_time_rejected(self, canonical_params):
         with pytest.raises(ValueError, match="non-negative"):
             qfi_qubit_closed_form(canonical_params, P0_HOT, np.array([1.0, -0.5]))
 

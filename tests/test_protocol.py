@@ -3,13 +3,14 @@ regularization, calibration, the Fisher map, and the likelihood machinery."""
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpemba_thermometry import QubitBathParams, protocol
+from mpemba_thermometry import QubitBathParams, make_qubit_pair, protocol
 from mpemba_thermometry.fisher import qfi_equilibrium
 from mpemba_thermometry.mpemba import distance_series
 from mpemba_thermometry.protocol import (
@@ -23,9 +24,9 @@ from mpemba_thermometry.protocol import (
     ShotRecord,
     calibrate_equilibrium,
     dynamical_calibration,
-    effective_temperature,
     fisher_map,
     mle_temperature,
+    nearest_knot,
     pav_isotonic,
     sample_population,
     sampling_stream,
@@ -39,6 +40,15 @@ def eq_model(t: float, temp: float) -> float:
 
 def hot_model(t, temp: float):
     return evolve_population(QubitBathParams(1.0, 1.0, temp, 1.0), 0.9, t)
+
+
+def eq_fisher(t: float, temp: float) -> float:
+    return qfi_equilibrium(1.0, temp)
+
+
+def qubit_probe(factory=lambda T: QubitBathParams(1.0, 1.0, T, 1.0), p0_hot=0.9, p0_cold=0.5):
+    """``probe_at(T)``: the qubit pair on the bath ``factory(T)``."""
+    return lambda T: make_qubit_pair(factory(T), p0_hot, p0_cold)
 
 
 def sampled_frequency(p: float, shots: int, seed: int, cell: int) -> float:
@@ -182,11 +192,11 @@ class TestSamplingStreams:
         temps = np.linspace(0.3, 0.7, 7)
         fisher_map(hot_model, np.linspace(0.0, 3.0, 11), temps, shots=1000, seed=3)
         dynamical_calibration(
-            lambda T: QubitBathParams(1.0, 1.0, T, 0.0), 0.9, 0.5, temps,
+            qubit_probe(lambda T: QubitBathParams(1.0, 1.0, T, 0.0)), temps,
             np.linspace(0.0, 4.0, 21), shots=1000, seed=3,
         )
         assert built == []
-        calibrate_equilibrium(1.0, temps, shots=1000, seed=3)
+        calibrate_equilibrium(qubit_probe(), temps, shots=1000, seed=3)
         assert built == [(3, j) for j in range(temps.size)]
         built.clear()
         sample_population(0.4, 100, seed=3, cell=9)
@@ -277,13 +287,13 @@ class TestIsotonicFit:
 class TestCalibration:
     def test_noiseless_reproduces_gibbs(self):
         temps = np.linspace(0.3, 0.7, 9)
-        curve = calibrate_equilibrium(1.0, temps, shots=0, seed=0)
+        curve = calibrate_equilibrium(qubit_probe(), temps, shots=0, seed=0)
         exact = [gibbs_population_qubit(1.0, float(t)) for t in temps]
         assert np.allclose(curve.values, exact, rtol=0, atol=1e-15)
 
     def test_sampled_curve_is_monotone_and_close(self):
         temps = np.linspace(0.3, 0.7, 9)
-        curve = calibrate_equilibrium(1.0, temps, shots=1_000_000, seed=7)
+        curve = calibrate_equilibrium(qubit_probe(), temps, shots=1_000_000, seed=7)
         assert np.all(np.diff(curve.values) >= 0)
         exact = np.array([gibbs_population_qubit(1.0, float(t)) for t in temps])
         assert np.max(np.abs(curve.values - exact)) < 2e-3
@@ -304,7 +314,7 @@ class TestCalibration:
 
     def test_needs_increasing_temperatures(self):
         with pytest.raises(ValueError):
-            calibrate_equilibrium(1.0, [0.5, 0.4], shots=0, seed=0)
+            calibrate_equilibrium(qubit_probe(), [0.5, 0.4], shots=0, seed=0)
 
 
 def reference_dynamical_calibration(
@@ -361,19 +371,19 @@ class TestDynamicalCalibration:
     @pytest.mark.parametrize("factory, temps, shots, seed, policy", SETTINGS)
     def test_equals_per_cell_reference(self, monkeypatch, factory, temps, shots, seed, policy):
         drawn = recording_sampler(monkeypatch)
-        args = (getattr(self, factory), 0.9, 0.5, temps, self.GRID)
-        got = dynamical_calibration(*args, shots=shots, seed=seed, delta_policy=policy)
+        factory = getattr(self, factory)
+        got = dynamical_calibration(
+            qubit_probe(factory), temps, self.GRID, shots=shots, seed=seed, delta_policy=policy
+        )
         expected, expected_cells = reference_dynamical_calibration(
-            *args, shots, seed, delta_policy=policy
+            factory, 0.9, 0.5, temps, self.GRID, shots, seed, delta_policy=policy
         )
         assert got == expected
         # the same cells in the same order: none past the first crossing
         assert drawn == expected_cells
 
     def test_noiseless_crossing_matches_grid_resolution(self):
-        out = dynamical_calibration(
-            self.FACTORY, 0.9, 0.5, [0.5], self.GRID, shots=0, seed=0
-        )
+        out = dynamical_calibration(qubit_probe(self.FACTORY), [0.5], self.GRID, shots=0, seed=0)
         # exact crossing 1.36715...; first grid time strictly past it is 1.4
         assert out[0.5] == pytest.approx(1.4, abs=1e-12)
 
@@ -388,19 +398,13 @@ class TestDynamicalCalibration:
         crossed = np.flatnonzero(hot < cold)
         expected = float(self.GRID[crossed[0]]) if crossed.size else None
         out = dynamical_calibration(
-            getattr(self, factory), 0.9, 0.5, [temp], self.GRID, shots=0, seed=0
+            qubit_probe(getattr(self, factory)), [temp], self.GRID, shots=0, seed=0
         )
         assert out == {temp: expected}
 
     def test_no_feedback_never_crosses(self):
         out = dynamical_calibration(
-            lambda T: QubitBathParams(1.0, 1.0, T, 0.0),
-            0.9,
-            0.5,
-            [0.5],
-            self.GRID,
-            shots=0,
-            seed=0,
+            qubit_probe(self.NO_FEEDBACK), [0.5], self.GRID, shots=0, seed=0
         )
         assert out[0.5] is None
 
@@ -408,7 +412,7 @@ class TestDynamicalCalibration:
         # the true distance gap (~3e-3) is far below three binomial standard
         # errors at 1e4 shots (~1.9e-2), so the guarded detector must pass
         out = dynamical_calibration(
-            self.FACTORY, 0.9, 0.5, [0.4, 0.5, 0.6], self.GRID, shots=10_000, seed=42
+            qubit_probe(self.FACTORY), [0.4, 0.5, 0.6], self.GRID, shots=10_000, seed=42
         )
         assert out == {0.4: None, 0.5: None, 0.6: None}
 
@@ -416,13 +420,7 @@ class TestDynamicalCalibration:
         # same shot budget, no margin, no true crossing: sampling noise alone
         # reports one — the reason the default policy carries the margin
         out = dynamical_calibration(
-            lambda T: QubitBathParams(1.0, 1.0, T, 0.0),
-            0.9,
-            0.5,
-            [0.5],
-            self.GRID,
-            shots=10_000,
-            seed=42,
+            qubit_probe(self.NO_FEEDBACK), [0.5], self.GRID, shots=10_000, seed=42,
             delta_policy=0.0,
         )
         assert out[0.5] is not None
@@ -430,7 +428,7 @@ class TestDynamicalCalibration:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             dynamical_calibration(
-                self.FACTORY, 0.9, 0.5, [0.5], self.GRID, shots=100, seed=0,
+                qubit_probe(self.FACTORY), [0.5], self.GRID, shots=100, seed=0,
                 delta_policy="5se",
             )
 
@@ -567,9 +565,7 @@ class TestMleTemperature:
             preparation="equilibrium",
             seed=0,
         )
-        res = mle_temperature(
-            [rec], eq_model, (0.2, 1.0), fisher_fn=lambda t, T: qfi_equilibrium(1.0, T)
-        )
+        res = mle_temperature([rec], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
         # localization is noise-floor limited: likelihood differences fall
         # below double-precision resolution ~1e-8 away from the optimum
         assert abs(res.t_hat - 0.5) < 5e-8
@@ -580,9 +576,7 @@ class TestMleTemperature:
         rec = sample_population(
             gibbs_population_qubit(1.0, 0.5), 100_000, seed=99, cell=3
         )
-        res = mle_temperature(
-            [rec], eq_model, (0.2, 1.0), fisher_fn=lambda t, T: qfi_equilibrium(1.0, T)
-        )
+        res = mle_temperature([rec], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
         assert abs(res.t_hat - 0.5) < 5.0 * res.stderr
         assert res.stderr == pytest.approx(
             1.0 / math.sqrt(100_000 * qfi_equilibrium(1.0, res.t_hat)), rel=1e-9
@@ -595,14 +589,8 @@ class TestMleTemperature:
             )
             for c in range(5)
         ]
-        res = mle_temperature(
-            [records[0]], eq_model, (0.2, 1.0),
-            fisher_fn=lambda t, T: qfi_equilibrium(1.0, T),
-        )
-        pooled = mle_temperature(
-            records, eq_model, (0.2, 1.0),
-            fisher_fn=lambda t, T: qfi_equilibrium(1.0, T),
-        )
+        res = mle_temperature([records[0]], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
+        pooled = mle_temperature(records, eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
         assert pooled.stderr < res.stderr
 
     def test_boundary_maximum_flagged(self):
@@ -614,7 +602,7 @@ class TestMleTemperature:
             seed=0,
         )
         with pytest.warns(BoundaryMaximumWarning):
-            res = mle_temperature([rec], eq_model, (0.6, 0.9))
+            res = mle_temperature([rec], eq_model, (0.6, 0.9), fisher_fn=eq_fisher)
         assert res.boundary
         assert res.t_hat == pytest.approx(0.6, abs=1e-6)
 
@@ -624,7 +612,8 @@ class TestMleTemperature:
         )
         with pytest.warns(MultimodalLikelihoodWarning):
             res = mle_temperature(
-                [rec], lambda t, T: 0.4 + 0.2 * math.sin(3.0 * T), (0.05, 4.0)
+                [rec], lambda t, T: 0.4 + 0.2 * math.sin(3.0 * T), (0.05, 4.0),
+                fisher_fn=lambda t, T: 1.0,
             )
         assert res.multimodal
 
@@ -652,9 +641,7 @@ class TestMleTemperature:
         rec = ShotRecord(
             shots=1000, successes=120.0, time=0.0, preparation="equilibrium", seed=0
         )
-        res = mle_temperature(
-            [rec], model, (0.2, 1.0), fisher_fn=lambda t, T: qfi_equilibrium(1.0, T)
-        )
+        res = mle_temperature([rec], model, (0.2, 1.0), fisher_fn=eq_fisher)
         assert golden
         assert calls[:64] == np.linspace(0.2, 1.0, 64).tolist()
         assert calls[64:-1] == golden
@@ -666,23 +653,69 @@ class TestMleTemperature:
             shots=100, successes=37.0, time=0.0, preparation="equilibrium", seed=0
         )
         with pytest.raises(DegenerateModelError):
-            mle_temperature([rec], lambda t, T: 0.37, (0.2, 1.0))
+            mle_temperature([rec], lambda t, T: 0.37, (0.2, 1.0), fisher_fn=eq_fisher)
 
     def test_empty_observations_rejected(self):
         with pytest.raises(ValueError):
-            mle_temperature([], eq_model, (0.2, 1.0))
+            mle_temperature([], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
 
 
-class TestEffectiveTemperature:
-    def test_round_trip(self):
-        for temp in (0.3, 0.5, 1.2):
-            p = gibbs_population_qubit(1.0, temp)
-            assert effective_temperature(p, 1.0) == pytest.approx(temp, rel=1e-12)
+def equilibrium_probe(omega0: float):
+    """``probe_at(T)`` reduced to what ``nearest_knot`` reads: the qubit's equilibrium."""
+    return lambda T: SimpleNamespace(equilibrium=gibbs_population_qubit(omega0, T))
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            effective_temperature(0.5, 1.0)
-        with pytest.raises(ValueError):
-            effective_temperature(0.0, 1.0)
-        with pytest.raises(ValueError):
-            effective_temperature(0.2, -1.0)
+
+def closed_form_knot(knots: np.ndarray, p: float, omega0: float) -> int:
+    """The knot nearest the closed-form inversion T = omega0 / ln(1/p - 1)."""
+    if p <= 0.0:
+        return 0
+    if p >= 0.5:
+        return knots.size - 1
+    return int(np.argmin(np.abs(knots - omega0 / math.log(1.0 / p - 1.0))))
+
+
+class TestNearestKnot:
+    @pytest.mark.parametrize("data_seed", range(20))
+    def test_equals_the_closed_form_argmin(self, data_seed):
+        rng = np.random.default_rng(data_seed)
+        for _ in range(10):
+            omega0 = float(rng.uniform(0.5, 2.0))
+            n = int(rng.integers(2, 42))
+            if rng.random() < 0.5:
+                knots = np.linspace(*np.sort(rng.uniform(0.1, 3.0, 2)), n)
+            else:
+                knots = 0.1 + np.cumsum(rng.uniform(0.005, 0.3, n))
+            lo = gibbs_population_qubit(omega0, 0.5 * float(knots[0]))
+            hi = gibbs_population_qubit(omega0, 2.0 * float(knots[-1]))
+            for p in rng.uniform(lo, hi, 20).tolist():
+                got = nearest_knot(equilibrium_probe(omega0), knots, p)
+                assert got == closed_form_knot(knots, p, omega0), (omega0, knots, p)
+
+    def test_qubit_pairs_pick_the_closed_form_knot(self):
+        knots = np.linspace(0.3, 0.7, 9)
+        for p in (0.02, 0.08, 0.1, 0.13, 0.16, 0.2):
+            assert nearest_knot(qubit_probe(), knots, p) == closed_form_knot(knots, p, 1.0)
+
+    @pytest.mark.parametrize("p, expected", [(0.0, 0), (0.5, 8), (0.7, 8), (1.0, 8)])
+    def test_out_of_range_clamps_to_the_edge_knot(self, p, expected):
+        knots = np.linspace(0.3, 0.7, 9)
+        assert nearest_knot(equilibrium_probe(1.0), knots, p) == expected
+        assert closed_form_knot(knots, p, 1.0) == expected
+
+    def test_midpoint_tie_goes_to_the_lower_knot(self):
+        knots = np.linspace(0.3, 0.7, 9)
+        for k in range(knots.size - 1):
+            mid = 0.5 * (knots[k] + knots[k + 1])
+            p = gibbs_population_qubit(1.0, float(mid))
+            assert nearest_knot(equilibrium_probe(1.0), knots, p) == k
+            assert nearest_knot(equilibrium_probe(1.0), knots, math.nextafter(p, 1.0)) == k + 1
+
+    @pytest.mark.parametrize(
+        "equilibrium",
+        [lambda T: 0.2, lambda T: 1.0 - T / 2.0, lambda T: 0.1 if T < 0.5 else 0.3],
+        ids=["flat", "decreasing", "step"],
+    )
+    def test_non_increasing_model_rejected(self, equilibrium):
+        probe_at = lambda T: SimpleNamespace(equilibrium=equilibrium(T))  # noqa: E731
+        with pytest.raises(DegenerateModelError):
+            nearest_knot(probe_at, np.linspace(0.3, 0.7, 9), 0.1)
