@@ -12,17 +12,14 @@ front end.
 
 from .fisher import (
     DivergentFisherError,
-    cramer_rao_bound,
     fisher_from_populations,
     qfi_equilibrium,
     qfi_qubit_closed_form,
-    qfi_short_time,
 )
 from .instances import ProbePair, make_lambda_pair, make_qubit_pair
 from .mpemba import (
     InversionRecord,
     TrajectoryOrderingError,
-    crossover_time_bound,
     detect_inversion,
     qfi_gain,
     theorem_hierarchy_check,
@@ -87,13 +84,10 @@ __all__ = [
     "fisher_from_populations",
     "qfi_qubit_closed_form",
     "qfi_equilibrium",
-    "qfi_short_time",
-    "cramer_rao_bound",
     "InversionRecord",
     "TrajectoryOrderingError",
     "thermal_distance",
     "detect_inversion",
-    "crossover_time_bound",
     "qfi_gain",
     "theorem_hierarchy_check",
     "ProbePair",

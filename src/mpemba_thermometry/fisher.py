@@ -9,20 +9,16 @@ this package runs on that quantity.
 
 from __future__ import annotations
 
-import math
+from functools import reduce
 
 import numpy as np
 
 from .qubit import (
     QubitBathParams,
-    _check_times,
-    _decay,
-    _dT_gibbs,
-    _dT_rate,
-    _rate,
     dT_gibbs,
+    dT_population,
+    evolve_population,
     gibbs_population_qubit,
-    thermal_quantities,
 )
 
 __all__ = [
@@ -30,8 +26,6 @@ __all__ = [
     "fisher_from_populations",
     "qfi_qubit_closed_form",
     "qfi_equilibrium",
-    "qfi_short_time",
-    "cramer_rao_bound",
 ]
 
 # Below these floors a vanishing population is treated as a genuinely empty
@@ -62,11 +56,15 @@ def fisher_from_populations(populations, d_populations):
         raise ValueError(f"shape mismatch: populations {p.shape} vs sensitivities {dp.shape}")
     rows_p = p.reshape(-1, p.shape[-1])
     rows_dp = dp.reshape(rows_p.shape)
-    lowest = rows_p.min(axis=1)
-    sums = rows_dp.sum(axis=1)
+    # per-row reductions run level by level: numpy reduces a short last axis
+    # row by row, ~20x slower on a (5001, 2) grid
+    lowest = reduce(np.minimum, rows_p.T)
+    sums = reduce(np.add, rows_dp.T)
     empty = rows_p < _POPULATION_FLOOR
     divergent = empty & ~(np.abs(rows_dp) < _SENSITIVITY_FLOOR)
-    failing = np.flatnonzero((lowest < -1e-12) | (np.abs(sums) > 1e-8) | divergent.any(axis=1))
+    failing = np.flatnonzero(
+        (lowest < -1e-12) | (np.abs(sums) > 1e-8) | reduce(np.logical_or, divergent.T)
+    )
     if failing.size:
         row = int(failing[0])
         if lowest[row] < -1e-12:
@@ -90,15 +88,6 @@ def fisher_from_populations(populations, d_populations):
     return float(total[0]) if p.ndim == 1 else total.reshape(p.shape[:-1])
 
 
-def _square(x):
-    """x**2 as Python squares a float, through libm ``pow``, also per array element.
-
-    numpy's ``x**2`` on an array is x*x, which differs from ``pow`` in the
-    last bit for a small share of values; ``float_power`` calls ``pow``.
-    """
-    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
-
-
 def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t):
     """Exact trajectory Fisher information of the relaxing two-level probe.
 
@@ -110,39 +99,17 @@ def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t):
                  + (p0 - p_eq)^2 t^2 E^2 (dT Gamma)^2
                  - 2 (p0 - p_eq) (dT p_eq) t E (1-E) dT Gamma ] / (p (1-p)).
 
-    ``t`` is a float or a 1-D array; array entries equal the float call at
-    that time bit for bit.  A deterministic time, p (1 - p) < 1e-15, follows
-    :func:`fisher_from_populations`: it gives 0 when |dT p| < 1e-12 and raises
-    :class:`DivergentFisherError` otherwise.
+    It is evaluated unexpanded, as the two-level case of
+    :func:`fisher_from_populations` over (1 - p, p) and (-dT p, dT p), with p
+    from :func:`~.qubit.evolve_population` and dT p from
+    :func:`~.qubit.dT_population`; the expansion would cancel near a zero of
+    dT p.  So the floor and divergence rules are that function's, and ``t``
+    is a float (a float is returned) or a 1-D array whose entries equal the
+    float call at that time bit for bit.
     """
-    t = _check_times(t)
-    q = thermal_quantities(params)
-    rate = _rate(params, p0, q)
-    d_rate = _dT_rate(params, p0, q)
-    d_peq = _dT_gibbs(params, q)
-    decay = _decay(rate, t)
-    excess = p0 - q.p_eq
-    p_t = q.p_eq + excess * decay  # evolve_population's expression and bits
-    variance = p_t * (1.0 - p_t)
-    empty = variance < _POPULATION_FLOOR
-    if np.any(empty):
-        # dT_population's expression: the sensitivity the squared terms expand
-        slope = d_peq * (1.0 - decay) - excess * t * decay * d_rate
-        divergent = np.flatnonzero(empty & ~(np.abs(slope) < _SENSITIVITY_FLOOR))
-        if divergent.size:
-            raise DivergentFisherError(
-                f"population {np.atleast_1d(p_t)[divergent[0]]:.3g} is deterministic "
-                "while its sensitivity is not; Fisher information diverges"
-            )
-    numerator = (
-        d_peq**2 * _square(1.0 - decay)
-        + excess**2 * _square(t) * _square(decay) * d_rate**2
-        - 2.0 * excess * d_peq * t * decay * (1.0 - decay) * d_rate
-    )
-    # a deterministic time that got past the check carries no information
-    if isinstance(t, np.ndarray):
-        return np.where(empty, 0.0, numerator / np.where(empty, 1.0, variance))
-    return 0.0 if empty else numerator / variance
+    p = evolve_population(params, p0, t)
+    dp = dT_population(params, p0, t)
+    return fisher_from_populations(np.array([1.0 - p, p]).T, np.array([-dp, dp]).T)
 
 
 def qfi_equilibrium(omega0: float, temperature: float) -> float:
@@ -154,34 +121,3 @@ def qfi_equilibrium(omega0: float, temperature: float) -> float:
             f"equilibrium population {p_eq:.3g} is deterministic at T={temperature}"
         )
     return dT_gibbs(omega0, temperature) ** 2 / variance
-
-
-def qfi_short_time(params: QubitBathParams, p0: float, t: float) -> float:
-    """Leading t^2 behaviour of the trajectory Fisher information.
-
-    F(t) ~ [dT p_eq * Gamma - (p0 - p_eq) * dT Gamma]^2 t^2 / (p0 (1 - p0)).
-    Valid for Gamma t << 1; provided for expansion cross-checks, not as a
-    substitute for the closed form.
-    """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    variance = p0 * (1.0 - p0)
-    if variance < _POPULATION_FLOOR:
-        raise DivergentFisherError(f"preparation p0={p0} is deterministic")
-    q = thermal_quantities(params)
-    rate = _rate(params, p0, q)
-    d_rate = _dT_rate(params, p0, q)
-    d_peq = _dT_gibbs(params, q)
-    slope = d_peq * rate - (p0 - q.p_eq) * d_rate
-    return slope**2 * t**2 / variance
-
-
-def cramer_rao_bound(fisher: float, shots: int) -> float:
-    """Variance floor 1 / (shots * F); infinite when F vanishes."""
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if fisher < 0:
-        raise ValueError(f"Fisher information must be non-negative, got {fisher}")
-    if fisher == 0.0:
-        return math.inf
-    return 1.0 / (shots * fisher)

@@ -3,11 +3,11 @@
 One :class:`ProbePair` serves both probes.  :func:`make_qubit_pair` binds the
 two-level closed forms; :func:`make_lambda_pair` decomposes the generator once,
 binds the modal sums and keeps the spectral data.  Detection, certification
-and the CLI see one surface: populations, temperature sensitivities, Fisher
-information, a default time grid scaled to the slowest rate present, and the
-slow-mode data the theorem certificate compares.  Every ``hot_*``/``cold_*``
-evaluator takes ``t`` as a float or a 1-D array and answers per time.  A pair
-fixes its norm when it is made; the ordering check and every detection use it.
+and the CLI see one surface: populations, Fisher information, a default time
+grid scaled to the slowest rate present, and the slow-mode data the theorem
+certificate compares.  Every ``hot_*``/``cold_*`` evaluator takes ``t`` as a
+float or a 1-D array and answers per time.  A pair fixes its norm when it is
+made; the ordering check and every detection use it.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ class ProbePair:
     d_slow_rates: tuple[float, float]
     hot_population: Callable
     cold_population: Callable
-    hot_dT_population: Callable
-    cold_dT_population: Callable
     hot_fisher: Callable
     cold_fisher: Callable
     equilibrium_fisher: Callable[[], float]
@@ -112,8 +110,6 @@ def make_qubit_pair(params: qb.QubitBathParams, p0_hot: float, p0_cold: float) -
         d_slow_rates=(qb.dT_rate(params, p0_hot), qb.dT_rate(params, p0_cold)),
         hot_population=partial(qb.evolve_population, params, p0_hot),
         cold_population=partial(qb.evolve_population, params, p0_cold),
-        hot_dT_population=partial(qb.dT_population, params, p0_hot),
-        cold_dT_population=partial(qb.dT_population, params, p0_cold),
         hot_fisher=partial(qfi_qubit_closed_form, params, p0_hot),
         cold_fisher=partial(qfi_qubit_closed_form, params, p0_cold),
         equilibrium_fisher=partial(qfi_equilibrium, params.omega0, params.temperature),
@@ -166,8 +162,6 @@ def make_lambda_pair(
         d_slow_rates=(d_slow_rate, d_slow_rate),
         hot_population=partial(_modal_populations, decomposition, amps_hot),
         cold_population=partial(_modal_populations, decomposition, amps_cold),
-        hot_dT_population=partial(dT_populations_modal, decomposition, amps_hot, derivatives),
-        cold_dT_population=partial(dT_populations_modal, decomposition, amps_cold, derivatives),
         hot_fisher=partial(_modal_fisher, decomposition, derivatives, amps_hot),
         cold_fisher=partial(_modal_fisher, decomposition, derivatives, amps_cold),
         equilibrium_fisher=partial(

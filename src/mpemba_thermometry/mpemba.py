@@ -17,13 +17,10 @@ interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .qubit import QubitBathParams, effective_rate, thermal_quantities
 
 __all__ = [
     "TrajectoryOrderingError",
@@ -32,7 +29,6 @@ __all__ = [
     "thermal_distance",
     "distance_series",
     "detect_inversion",
-    "crossover_time_bound",
     "qfi_gain",
     "theorem_hierarchy_check",
 ]
@@ -182,30 +178,6 @@ def detect_inversion(
     return InversionRecord(
         t_star=t_star, delta_tol=delta_tol, norm_kind=norm_kind, persistent=persistent
     )
-
-
-def crossover_time_bound(
-    params: QubitBathParams, p0_hot: float, p0_cold: float
-) -> float | None:
-    """Exact two-level crossing time, or None when the orderings never swap.
-
-    t* = ln((p0_hot - p_eq)/(p0_cold - p_eq)) / (Gamma_hot - Gamma_cold) for
-    preparations above equilibrium with Gamma_hot > Gamma_cold.  Identical
-    preparations cross immediately (0.0).
-    """
-    q = thermal_quantities(params)
-    if not (p0_hot >= p0_cold > q.p_eq):
-        raise ValueError(
-            f"need p0_hot >= p0_cold > p_eq, got ({p0_hot}, {p0_cold}) with "
-            f"p_eq={q.p_eq:.6g}"
-        )
-    if p0_hot == p0_cold:
-        return 0.0
-    rate_hot = effective_rate(params, p0_hot)
-    rate_cold = effective_rate(params, p0_cold)
-    if rate_hot <= rate_cold:
-        return None
-    return math.log((p0_hot - q.p_eq) / (p0_cold - q.p_eq)) / (rate_hot - rate_cold)
 
 
 def qfi_gain(fisher_hot, fisher_reference):

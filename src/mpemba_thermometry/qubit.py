@@ -38,7 +38,6 @@ __all__ = [
     "thermal_quantities",
     "effective_rate",
     "evolve_population",
-    "relaxation_rhs",
     "dT_gibbs",
     "dT_bose",
     "dT_rate",
@@ -177,23 +176,6 @@ def evolve_population(params: QubitBathParams, p0: float, t):
     t = _check_times(t)
     q = thermal_quantities(params)
     return q.p_eq + (p0 - q.p_eq) * _decay(_rate(params, p0, q), t)
-
-
-def relaxation_rhs(params: QubitBathParams, p0: float):
-    """Right-hand side f(t, p) = -Gamma (p - p_eq) for numerical integration.
-
-    The rate is frozen at the preparation value p0, matching the convention
-    used throughout: the anomalous dependence enters through the preparation,
-    not through the instantaneous state.
-    """
-    q = thermal_quantities(params)
-    rate = _rate(params, p0, q)
-    p_eq = q.p_eq
-
-    def rhs(t: float, p: float) -> float:
-        return -rate * (p - p_eq)
-
-    return rhs
 
 
 def dT_gibbs(omega0: float, temperature: float) -> float:

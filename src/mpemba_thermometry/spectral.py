@@ -103,7 +103,6 @@ class RateMatrix:
 
     entries: np.ndarray
     energies: np.ndarray
-    couplings: np.ndarray
     temperature: float
     family: Callable[[float], "RateMatrix"] | None = field(default=None, repr=False)
     d_entries: np.ndarray | None = field(default=None, repr=False)
@@ -179,7 +178,6 @@ def build_qubit_rate_matrix(omega0: float, gamma: float, temperature: float) -> 
     return RateMatrix(
         entries=layout(bose_occupation(omega0, temperature), 1.0),
         energies=np.array([0.0, omega0]),
-        couplings=np.array([gamma]),
         temperature=temperature,
         family=lambda t: build_qubit_rate_matrix(omega0, gamma, t),
         d_entries=layout(dT_bose(omega0, temperature), 0.0),
@@ -225,7 +223,6 @@ def build_lambda_rate_matrix(
             bose_occupation(e3 - e1, temperature), bose_occupation(e3 - e2, temperature), 1.0
         ),
         energies=np.array([e1, e2, e3]),
-        couplings=np.array([kappa1, kappa2]),
         temperature=temperature,
         family=lambda t: build_lambda_rate_matrix(e1, e2, e3, kappa1, kappa2, t),
         d_entries=layout(dT_bose(e3 - e1, temperature), dT_bose(e3 - e2, temperature), 0.0),

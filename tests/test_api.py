@@ -55,6 +55,44 @@ def package_imports(module) -> list[str]:
     ]
 
 
+def private_imports(module) -> list[str]:
+    """Underscore-prefixed names ``module`` takes from another package module.
+
+    Both ``from .qubit import _rate`` and ``qb._rate`` after ``from . import
+    qubit as qb`` count.
+    """
+    tree = ast.parse(inspect.getsource(module))
+    taken = []
+    module_aliases = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = "." * node.level + (node.module or "")
+        if not (node.level or source.split(".")[0] == "mpemba_thermometry"):
+            continue
+        for alias in node.names:
+            if node.module is None:
+                module_aliases.add(alias.asname or alias.name)
+            elif alias.name.startswith("_"):
+                taken.append(f"{source}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_aliases
+            and node.attr.startswith("_")
+        ):
+            taken.append(f"{node.value.id}.{node.attr}")
+    return taken
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_imports_private_names_of_another(module):
+    # a module's underscore names are its own; a caller uses the public ones
+    taken = private_imports(module)
+    assert not taken, f"{module.__name__} takes private names: {taken}"
+
+
 def test_oracle_imports_nothing_from_the_package():
     # the oracle is the independent reference for the closed forms, so it
     # may not reach them
@@ -64,14 +102,25 @@ def test_oracle_imports_nothing_from_the_package():
     assert not package, f"oracle.py imports from the package: {package}"
 
 
+def model_imports(module) -> list[str]:
+    """The model modules (``qubit``, ``spectral``) among ``module``'s package imports."""
+    models = ("qubit", "spectral")
+    return [name for name in package_imports(module) if name.rsplit(".", 1)[-1] in models]
+
+
 def test_protocol_imports_no_model_module():
     # the protocol reads its model from a probe_at(T) -> ProbePair factory,
     # so no model's closed forms are reached from it directly
     from mpemba_thermometry import protocol
 
-    models = [
-        name
-        for name in package_imports(protocol)
-        if name.rsplit(".", 1)[-1] in ("qubit", "spectral")
-    ]
+    models = model_imports(protocol)
     assert not models, f"protocol.py imports model modules: {models}"
+
+
+def test_mpemba_imports_no_model_module():
+    # detection and the gain bookkeeping work on callables and values, so the
+    # qubit's exact crossing time lives with the tests that check against it
+    from mpemba_thermometry import mpemba
+
+    models = model_imports(mpemba)
+    assert not models, f"mpemba.py imports model modules: {models}"

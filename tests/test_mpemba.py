@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from mpemba_thermometry import (
     QubitBathParams,
-    crossover_time_bound,
     detect_inversion,
     effective_rate,
+    gibbs_population_qubit,
     make_lambda_pair,
     make_qubit_pair,
     qfi_gain,
@@ -33,6 +33,28 @@ from conftest import (
 
 T_STAR_QUBIT = 1.3671541640340499
 T_STAR_LADDER = 0.48787920210350055
+
+
+def crossover_time_bound(params, p0_hot, p0_cold):
+    """Exact two-level crossing time, or None when the orderings never swap.
+
+    t* = ln((p0_hot - p_eq)/(p0_cold - p_eq)) / (Gamma_hot - Gamma_cold) for
+    preparations above equilibrium with Gamma_hot > Gamma_cold.  Identical
+    preparations cross immediately (0.0).  The reference the detector is
+    checked against.
+    """
+    p_eq = gibbs_population_qubit(params.omega0, params.temperature)
+    if not (p0_hot >= p0_cold > p_eq):
+        raise ValueError(
+            f"need p0_hot >= p0_cold > p_eq, got ({p0_hot}, {p0_cold}) with p_eq={p_eq:.6g}"
+        )
+    if p0_hot == p0_cold:
+        return 0.0
+    rate_hot = effective_rate(params, p0_hot)
+    rate_cold = effective_rate(params, p0_cold)
+    if rate_hot <= rate_cold:
+        return None
+    return math.log((p0_hot - p_eq) / (p0_cold - p_eq)) / (rate_hot - rate_cold)
 
 
 @pytest.fixture

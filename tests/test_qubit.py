@@ -23,7 +23,6 @@ from mpemba_thermometry.qubit import (
     UnphysicalRateError,
     dT_gibbs,
     dT_rate,
-    relaxation_rhs,
 )
 
 from conftest import CANONICAL, P0_COLD, P0_HOT, random_qubit
@@ -103,9 +102,12 @@ class TestEffectiveRate:
 class TestEvolution:
     def test_matches_reference_integrator(self, canonical_params):
         times = np.linspace(0.0, 5.0, 26)
+        p_eq = gibbs_population_qubit(canonical_params.omega0, canonical_params.temperature)
         for p0 in (P0_HOT, P0_COLD, 0.2):
+            # dp/dt = -Gamma (p - p_eq), the rate frozen at the preparation
+            rate = effective_rate(canonical_params, p0)
             traj = integrate_rate_equation(
-                relaxation_rhs(canonical_params, p0), p0, times, dt=1e-4
+                lambda t, p: -rate * (p - p_eq), p0, times, dt=1e-4
             )
             closed = np.array(
                 [evolve_population(canonical_params, p0, t) for t in times]

@@ -82,7 +82,6 @@ class TestConstruction:
         bad = type(ladder)(
             entries=entries,
             energies=ladder.energies,
-            couplings=ladder.couplings,
             temperature=ladder.temperature,
             family=None,
         )
@@ -141,7 +140,6 @@ class TestDecomposition:
         matrix = RateMatrix(
             entries=entries,
             energies=energies,
-            couplings=np.array([1.0]),
             temperature=0.5,
         )
         with pytest.raises(DegenerateSpectrumError):
@@ -379,7 +377,6 @@ class TestExactGeneratorDerivative:
         bare = RateMatrix(
             entries=ladder.entries,
             energies=ladder.energies,
-            couplings=ladder.couplings,
             temperature=ladder.temperature,
         )
         with pytest.raises(ValueError, match="d_entries"):
