@@ -7,6 +7,16 @@ from the model modules, no exponential-decay shortcuts on the solution side.
 
 These routines serve the test suite, explicit cross-checks and the
 finite-difference spectrum oracle in :mod:`.spectral`; no model result uses them.
+
+With a constant generator R, one RK4 step of size h is y -> P y with
+P = I + a and a = hR + (hR)^2/2 + (hR)^3/6 + (hR)^4/24, so the state after
+k + 1 steps of a segment is y + d[k] y with d[k] = P^(k+1) - I.  Matrix mode
+builds that increment table by doubling (the parallel-prefix form of a linear
+recurrence) and still computes and checks every step's state.  The table
+holds P^k - I rather than P^k: a product of powers of P carries rounding of
+order 1 in each factor, so squaring P^k doubles its error at every level,
+while the increments carry rounding of order |P^k - I| and the identity is
+added back exactly once, when the state is formed.
 """
 
 from __future__ import annotations
@@ -29,10 +39,10 @@ __all__ = [
 # physical region.
 _POPULATION_MARGIN = 1e-6
 
-# Matrix mode buffers the states of up to this many steps and checks them in
-# one pair of reductions; the cap keeps the buffer small however long a
-# checkpoint gap is.
-_BLOCK_STEPS = 4096
+# Matrix mode's increment table holds at most this many floats (4096 rows of a
+# 3-level generator), so a long checkpoint gap or a large generator never
+# allocates more; each block of states is checked in one pair of reductions.
+_BLOCK_FLOATS = 4096 * 9
 
 
 class IntegrationUnstableError(RuntimeError):
@@ -75,16 +85,32 @@ def _rk4_step_scalar(f: Callable[[float, float], float], t: float, y: float, h: 
 
 def _rk4_propagator(generator: np.ndarray, h: float) -> np.ndarray:
     # For the linear system dp/dt = R p a fixed RK4 step is algebraically the
-    # degree-4 Taylor polynomial of expm(hR); building it once per segment
-    # keeps long sweeps cheap without changing the method.
-    n = generator.shape[0]
+    # degree-4 Taylor polynomial of expm(hR).  This returns its increment
+    # a = P - I: the identity is never added, so the table built from it keeps
+    # rounding relative to |P^k - I| rather than to 1.
     hr = h * generator
-    p = np.eye(n) + hr
+    a = hr
     term = hr
     for k in (2, 3, 4):
         term = term @ hr / k
-        p = p + term
-    return p
+        a = a + term
+    return a
+
+
+def _increment_table(increment: np.ndarray, m: int) -> np.ndarray:
+    # d[k] = P^(k+1) - I for k < m, with P = I + increment.  Doubling uses
+    # P^(j+1) P^k = I + d[j] + d[k-1] + d[j] d[k-1]: ceil(log2 m) batched
+    # products instead of m sequential ones.
+    n = increment.shape[0]
+    d = np.empty((m, n, n))
+    d[0] = increment
+    k = 1
+    while k < m:
+        r = min(k, m - k)
+        np.add(d[:r], d[k - 1], out=d[k : k + r])
+        d[k : k + r] += d[:r] @ d[k - 1]
+        k += r
+    return d
 
 
 def _check_physical(states: np.ndarray, t0: float, h: float) -> None:
@@ -114,14 +140,20 @@ def integrate_rate_equation(
     exceeds ~dt.  ``system`` is either a scalar right-hand side ``f(t, p)`` or
     a constant generator matrix.  A state component escaping [0, 1] by more
     than 1e-6, or turning NaN, raises :class:`IntegrationUnstableError`.
+
+    Matrix mode marches each segment from a table of P^k - I (see the module
+    docstring); scalar mode steps sequentially.  Either way every step's state
+    is checked, and the error names the first failing step.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     matrix_mode = isinstance(system, np.ndarray)
     if matrix_mode:
@@ -131,6 +163,8 @@ def integrate_rate_equation(
                 f"initial state shape {y.shape} does not match generator "
                 f"dimension {system.shape[0]}"
             )
+        n = y.size
+        table_rows = max(1, _BLOCK_FLOATS // n**2)
     else:
         y = float(initial_state)
 
@@ -144,17 +178,16 @@ def integrate_rate_equation(
         n_steps = max(1, int(round(gap / dt)))
         h = gap / n_steps
         if matrix_mode:
-            prop = _rk4_propagator(system, h)
-            block = np.empty((min(n_steps, _BLOCK_STEPS), y.size))
-            for first in range(0, n_steps, len(block)):
-                rows = block[: n_steps - first]
-                # an unstable march may overflow in the steps after its first
-                # bad one; the block check below reports that first step
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for k in range(len(rows)):
-                        y = prop @ y
-                        rows[k] = y
-                _check_physical(rows, t + (first + 1) * h, h)
+            # an unstable march may overflow in the steps after its first bad
+            # one; the block check reports that first step
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = _increment_table(_rk4_propagator(system, h), min(n_steps, table_rows))
+                for first in range(0, n_steps, table_rows):
+                    r = min(table_rows, n_steps - first)
+                    rows = (table[:r].reshape(r * n, n) @ y).reshape(r, n)
+                    rows += y
+                    _check_physical(rows, t + (first + 1) * h, h)
+                    y = rows[-1]
         else:
             for k in range(n_steps):
                 y = _rk4_step_scalar(system, t + k * h, y, h)

@@ -2,6 +2,7 @@
 they cannot share code with: pure exponentials, a rotating two-state system,
 and polynomial/transcendental derivatives."""
 
+import decimal
 import math
 import re
 
@@ -14,6 +15,15 @@ from mpemba_thermometry.oracle import (
     finite_difference_dT,
     integrate_rate_equation,
 )
+
+_GENERATOR = np.array(
+    [
+        [-0.8, 0.2, 0.1],
+        [0.5, -0.7, 0.3],
+        [0.3, 0.5, -0.4],
+    ]
+)
+_P0 = np.array([0.2, 0.2, 0.6])
 
 
 def test_scalar_exponential_decay():
@@ -53,17 +63,9 @@ def test_matrix_generator_against_expm():
 
 
 def test_integrator_preserves_total_population():
-    generator = np.array(
-        [
-            [-0.8, 0.2, 0.1],
-            [0.5, -0.7, 0.3],
-            [0.3, 0.5, -0.4],
-        ]
-    )
-    p0 = np.array([0.2, 0.2, 0.6])
-    traj = integrate_rate_equation(generator, p0, np.linspace(0.0, 10.0, 11))
+    traj = integrate_rate_equation(_GENERATOR, _P0, np.linspace(0.0, 10.0, 11))
     sums = traj.states.sum(axis=1)
-    assert np.max(np.abs(sums - 1.0)) < 1e-12
+    assert np.max(np.abs(sums - 1.0)) < 1e-14
 
 
 def test_integrator_rejects_unphysical_excursions():
@@ -82,29 +84,92 @@ def test_matrix_mode_rejects_nan():
         integrate_rate_equation(generator, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
 
 
-def test_matrix_mode_equals_a_plain_propagator_loop():
-    # uneven gaps give each segment its own step count; the 9000-step segment
-    # spans several check blocks
-    generator = np.array(
-        [
-            [-0.8, 0.2, 0.1],
-            [0.5, -0.7, 0.3],
-            [0.3, 0.5, -0.4],
-        ]
-    )
-    p0 = np.array([0.2, 0.2, 0.6])
-    times = np.array([0.0, 0.0013, 0.3, 1.0, 10.0])
-    dt = 1e-3
-    expected = [p0]
-    y = p0
-    for gap in np.diff(times):
-        n_steps = max(1, int(round(gap / dt)))
-        prop = oracle._rk4_propagator(generator, gap / n_steps)
+def _rk4_recurrence_in_decimal(generator, p0, times, dt):
+    # The RK4 step polynomial P = I + hR + (hR)^2/2 + (hR)^3/6 + (hR)^4/24 of
+    # the same float generator and h, marched one step at a time at 34 digits.
+    n = len(p0)
+
+    def matmul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    with decimal.localcontext(prec=34):
+        y = [decimal.Decimal(v) for v in p0]
+        states = [list(p0)]
+        for gap in np.diff(times):
+            n_steps = max(1, int(round(gap / dt)))
+            h = decimal.Decimal(gap / n_steps)
+            hr = [[h * decimal.Decimal(v) for v in row] for row in generator]
+            prop = [[decimal.Decimal(int(i == j)) + hr[i][j] for j in range(n)] for i in range(n)]
+            term = hr
+            for k in (2, 3, 4):
+                term = [[v / k for v in row] for row in matmul(term, hr)]
+                prop = [[prop[i][j] + term[i][j] for j in range(n)] for i in range(n)]
+            for _ in range(n_steps):
+                y = [sum(prop[i][k] * y[k] for k in range(n)) for i in range(n)]
+            states.append([float(v) for v in y])
+    return np.array(states)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        # uneven gaps give segments of 1, 299, 700 and 9000 steps; the last
+        # spans several table blocks
+        [0.0, 0.0013, 0.3, 1.0, 10.0],
+        # 4096 and 4097 steps: one full table, then one row past its edge
+        [0.0, 4.096, 8.193],
+    ],
+)
+def test_matrix_mode_matches_the_recurrence_in_extended_precision(times):
+    times = np.array(times)
+    traj = integrate_rate_equation(_GENERATOR, _P0, times, dt=1e-3)
+    reference = _rk4_recurrence_in_decimal(_GENERATOR, _P0, times, dt=1e-3)
+    assert np.max(np.abs(traj.states - reference)) < 1e-14
+
+
+_CHAINING_TIMES = np.array([0.0, 0.0013, 0.3, 1.0, 2.5])
+
+
+def test_one_row_table_is_the_plain_increment_loop(monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK_FLOATS", _GENERATOR.size)
+    expected = [_P0]
+    y = _P0
+    for gap in np.diff(_CHAINING_TIMES):
+        n_steps = max(1, int(round(gap / 1e-3)))
+        increment = oracle._rk4_propagator(_GENERATOR, gap / n_steps)
         for _ in range(n_steps):
-            y = prop @ y
+            y = y + increment @ y
         expected.append(y)
-    traj = integrate_rate_equation(generator, p0, times, dt)
+    traj = integrate_rate_equation(_GENERATOR, _P0, _CHAINING_TIMES, dt=1e-3)
     assert np.array_equal(traj.states, np.array(expected))
+
+
+def test_chained_blocks_agree_with_one_full_table(monkeypatch):
+    full = integrate_rate_equation(_GENERATOR, _P0, _CHAINING_TIMES, dt=1e-3)
+    # five rows per table: every segment past the first needs many blocks
+    monkeypatch.setattr(oracle, "_BLOCK_FLOATS", 5 * _GENERATOR.size)
+    chained = integrate_rate_equation(_GENERATOR, _P0, _CHAINING_TIMES, dt=1e-3)
+    assert np.max(np.abs(chained.states - full.states)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "system, p0",
+    [(lambda t, p: -(p - 0.5), 0.9), (_GENERATOR, _P0)],
+    ids=["scalar", "matrix"],
+)
+@pytest.mark.parametrize(
+    "times, dt, message",
+    [
+        ([0.0, math.nan, 2.0], 1e-3, "times must be finite"),
+        ([0.0, 1.0, math.inf], 1e-3, "times must be finite"),
+        ([-math.inf, 0.0, 1.0], 1e-3, "times must be finite"),
+        ([0.0, 1.0], math.nan, "dt must be positive and finite"),
+        ([0.0, 1.0], math.inf, "dt must be positive and finite"),
+    ],
+)
+def test_non_finite_grid_or_step_is_rejected(system, p0, times, dt, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_rate_equation(system, p0, np.array(times), dt=dt)
 
 
 @pytest.mark.parametrize(
