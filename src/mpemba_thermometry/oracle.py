@@ -16,7 +16,10 @@ recurrence) and still computes and checks every step's state.  The table
 holds P^k - I rather than P^k: a product of powers of P carries rounding of
 order 1 in each factor, so squaring P^k doubles its error at every level,
 while the increments carry rounding of order |P^k - I| and the identity is
-added back exactly once, when the state is formed.
+added back exactly once, when the state is formed.  The table depends only on
+its step h and its length, so within one call every segment with a bit-equal
+h and the same length reuses it; and since nearly every block is physical,
+each block is first checked as a whole with one min/max pair.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ _POPULATION_MARGIN = 1e-6
 # 3-level generator), so a long checkpoint gap or a large generator never
 # allocates more; each block of states is checked in one pair of reductions.
 _BLOCK_FLOATS = 4096 * 9
+
+# One call keeps at most this many increment tables for reuse by later
+# segments, so the cache never holds more than _TABLES_KEPT * _BLOCK_FLOATS.
+_TABLES_KEPT = 8
 
 
 class IntegrationUnstableError(RuntimeError):
@@ -116,6 +123,9 @@ def _increment_table(increment: np.ndarray, m: int) -> np.ndarray:
 def _check_physical(states: np.ndarray, t0: float, h: float) -> None:
     # Row k of ``states`` is the state at time t0 + k h; the first row that
     # is not inside the physical region (NaN included) is the one reported.
+    # A NaN anywhere makes the whole-block min NaN, so it takes the row scan.
+    if states.min() >= -_POPULATION_MARGIN and states.max() <= 1.0 + _POPULATION_MARGIN:
+        return
     lo = states.min(axis=1)
     hi = states.max(axis=1)
     bad = np.flatnonzero(~((lo >= -_POPULATION_MARGIN) & (hi <= 1.0 + _POPULATION_MARGIN)))
@@ -142,8 +152,10 @@ def integrate_rate_equation(
     than 1e-6, or turning NaN, raises :class:`IntegrationUnstableError`.
 
     Matrix mode marches each segment from a table of P^k - I (see the module
-    docstring); scalar mode steps sequentially.  Either way every step's state
-    is checked, and the error names the first failing step.
+    docstring), built once per distinct (step, length) within the call and
+    reused by every segment that matches it bit for bit; scalar mode steps
+    sequentially.  Either way every step's state is checked (a block at a
+    time in matrix mode), and the error names the first failing step.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -165,6 +177,7 @@ def integrate_rate_equation(
             )
         n = y.size
         table_rows = max(1, _BLOCK_FLOATS // n**2)
+        tables = {}
     else:
         y = float(initial_state)
 
@@ -181,7 +194,12 @@ def integrate_rate_equation(
             # an unstable march may overflow in the steps after its first bad
             # one; the block check reports that first step
             with np.errstate(over="ignore", invalid="ignore"):
-                table = _increment_table(_rk4_propagator(system, h), min(n_steps, table_rows))
+                key = (min(n_steps, table_rows), h)
+                table = tables.get(key)
+                if table is None:
+                    if len(tables) == _TABLES_KEPT:
+                        tables.clear()
+                    table = tables[key] = _increment_table(_rk4_propagator(system, h), key[0])
                 for first in range(0, n_steps, table_rows):
                     r = min(table_rows, n_steps - first)
                     rows = (table[:r].reshape(r * n, n) @ y).reshape(r, n)
@@ -205,13 +223,17 @@ def finite_difference_dT(
 ) -> DerivativeEstimate:
     """Central difference of ``f`` at ``temperature`` with step halving.
 
-    The default step is 1e-5 * temperature.  Evaluation failures inside ``f``
-    propagate unchanged.
+    The default step is 1e-5 * temperature.  A temperature that is not positive
+    and finite, or a step that is not finite or outside (0, temperature),
+    raises ``ValueError``.  Evaluation failures inside ``f`` propagate
+    unchanged.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not np.isfinite(temperature) or temperature <= 0:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     if h is None:
         h = 1e-5 * temperature
+    if not np.isfinite(h):
+        raise ValueError(f"step h must be finite, got {h}")
     if h <= 0 or h >= temperature:
         raise ValueError(f"step h={h} must lie in (0, temperature)")
 

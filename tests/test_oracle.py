@@ -152,6 +152,64 @@ def test_chained_blocks_agree_with_one_full_table(monkeypatch):
     assert np.max(np.abs(chained.states - full.states)) < 1e-15
 
 
+def _one_gap_chain(times, dt):
+    # each one-gap call builds its own table for its only segment
+    states = [_P0]
+    for k in range(len(times) - 1):
+        traj = integrate_rate_equation(_GENERATOR, states[-1], times[k : k + 2], dt=dt)
+        states.append(traj.states[-1])
+    return np.array(states)
+
+
+# twelve distinct gaps in a sliding pattern (0, 1, 2, 1, 2, 3, 2, 3, 4, ... eighths
+# past 1/8), so each recurs a few segments later; each is a multiple of 1/8, so
+# the checkpoints are exact and a repeated gap repeats its step bit for bit
+_K = np.arange(30)
+_IRREGULAR_TIMES = np.concatenate([[0.0], np.cumsum((1 + _K // 3 + _K % 3) / 8)])
+
+
+@pytest.mark.parametrize(
+    "times, dt",
+    [
+        # the gaps 1 and 0.5 recur non-adjacently, so later segments reuse tables
+        ([0.0, 1.0, 1.5, 2.5, 3.0], 1e-3),
+        # gaps that differ in their last bits: mostly one table per segment
+        (np.linspace(0.0, 10.8, 21), 2e-3),
+        # more distinct steps than the call keeps tables for
+        (_IRREGULAR_TIMES, 1e-3),
+    ],
+    ids=["repeating", "linspace", "irregular"],
+)
+def test_reused_tables_match_one_gap_calls_bit_for_bit(times, dt):
+    times = np.asarray(times)
+    traj = integrate_rate_equation(_GENERATOR, _P0, times, dt=dt)
+    assert np.array_equal(traj.states, _one_gap_chain(times, dt))
+
+
+@pytest.mark.parametrize(
+    "times, dt, builds",
+    [
+        # twenty gaps of exactly 1.0 share one table
+        (np.linspace(0.0, 20.0, 21), 2e-3, [500]),
+        # the ninth distinct step clears the eight kept tables, so the step of
+        # 1000 rows, needed again after that, is built a second time
+        (_IRREGULAR_TIMES, 1e-3, [125 * k for k in range(1, 10)] + [1000, 1250, 1375, 1500]),
+    ],
+    ids=["equal", "irregular"],
+)
+def test_each_distinct_step_builds_its_table_once_while_kept(monkeypatch, times, dt, builds):
+    built = []
+    build = oracle._increment_table
+
+    def spy(increment, m):
+        built.append(m)
+        return build(increment, m)
+
+    monkeypatch.setattr(oracle, "_increment_table", spy)
+    integrate_rate_equation(_GENERATOR, _P0, times, dt=dt)
+    assert built == builds
+
+
 @pytest.mark.parametrize(
     "system, p0",
     [(lambda t, p: -(p - 0.5), 0.9), (_GENERATOR, _P0)],
@@ -178,10 +236,12 @@ def test_non_finite_grid_or_step_is_rejected(system, p0, times, dt, message):
         ([0.5, 0.5], [0.0, 0.5, 2.0], 1e-3, math.log(2.0)),
         # the exit lies some 18 000 steps into its segment, past the first block
         ([0.1, 0.9], [0.0, 0.5, 3.0], 1e-4, math.log(10.0)),
+        # the exit lies in the third segment, which reuses the first one's table
+        ([0.1, 0.9], [0.0, 1.0, 2.0, 3.0], 1e-3, math.log(10.0)),
     ],
 )
 def test_matrix_mode_names_the_failing_step(p0, times, dt, t_exit):
-    # dp1/dt = p1 leaves [0, 1] at t = ln(1 / p1(0)), inside the second segment
+    # dp1/dt = p1 leaves [0, 1] at t = ln(1 / p1(0)), after the first segment
     generator = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(IntegrationUnstableError) as info:
         integrate_rate_equation(generator, np.array(p0), np.array(times), dt=dt)
@@ -208,3 +268,19 @@ def test_finite_difference_vector_valued():
     est = finite_difference_dT(lambda T: np.array([T**3, math.sin(T)]), 1.1)
     exact = np.array([3 * 1.1**2, math.cos(1.1)])
     assert np.max(np.abs(est.value - exact)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "temperature, h, message",
+    [
+        (math.nan, None, "temperature must be positive and finite"),
+        (math.inf, None, "temperature must be positive and finite"),
+        (-math.inf, None, "temperature must be positive and finite"),
+        (0.5, math.nan, "step h must be finite"),
+        (0.5, math.inf, "step h must be finite"),
+        (0.5, -math.inf, "step h must be finite"),
+    ],
+)
+def test_finite_difference_rejects_non_finite_inputs(temperature, h, message):
+    with pytest.raises(ValueError, match=message):
+        finite_difference_dT(lambda T: T**2, temperature, h=h)
