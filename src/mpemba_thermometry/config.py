@@ -7,6 +7,7 @@ typo must not silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -65,20 +66,25 @@ def _parse_value(key: str, raw: str, kind: type):
     raw = raw.strip()
     if key in _VECTOR_KEYS:
         try:
-            return tuple(float(part) for part in raw.split(","))
+            value = tuple(float(part) for part in raw.split(","))
         except ValueError as exc:
             raise ConfigError(f"{key}: expected comma-separated floats, got {raw!r}") from exc
-    if kind is float:
+    elif kind is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    if kind is int:
+    elif kind is int:
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-    return raw
+    else:
+        return raw
+    # float() reads "nan" and "inf"; no key means anything by them
+    if not all(map(math.isfinite, value if key in _VECTOR_KEYS else (value,))):
+        raise ConfigError(f"{key}: expected finite numbers, got {raw!r}")
+    return value
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -119,11 +125,13 @@ def _validate(config: RunConfig) -> RunConfig:
         )
     if config.delta_policy != "3se":
         try:
-            float(config.delta_policy)
+            margin = float(config.delta_policy)
         except ValueError:
+            margin = math.nan
+        if not math.isfinite(margin):
             raise ConfigError(
-                f"delta_policy must be '3se' or a number, got {config.delta_policy!r}"
-            ) from None
+                f"delta_policy must be '3se' or a finite number, got {config.delta_policy!r}"
+            )
     if config.t_steps < 2:
         raise ConfigError(f"t_steps must be at least 2, got {config.t_steps}")
     if config.t_max <= 0:

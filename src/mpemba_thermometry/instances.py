@@ -116,14 +116,6 @@ def make_qubit_pair(params: qb.QubitBathParams, p0_hot: float, p0_cold: float) -
     )
 
 
-def _modal_populations(
-    decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, t
-) -> np.ndarray:
-    # a float is a one-row grid
-    rows = modal_trajectory(decomposition, amplitudes, np.atleast_1d(t))
-    return rows if np.ndim(t) else rows[0]
-
-
 def _modal_fisher(
     decomposition: SpectralDecomposition,
     derivatives: SpectralDerivatives,
@@ -131,7 +123,7 @@ def _modal_fisher(
     t,
 ):
     return fisher_from_populations(
-        _modal_populations(decomposition, amplitudes, t),
+        modal_trajectory(decomposition, amplitudes, t),
         dT_populations_modal(decomposition, amplitudes, derivatives, t),
     )
 
@@ -160,8 +152,8 @@ def make_lambda_pair(
         slow_rate=float(decomposition.eigenvalues[1]),
         slow_amplitude=float(amps_hot.amplitudes[1]),
         d_slow_rates=(d_slow_rate, d_slow_rate),
-        hot_population=partial(_modal_populations, decomposition, amps_hot),
-        cold_population=partial(_modal_populations, decomposition, amps_cold),
+        hot_population=partial(modal_trajectory, decomposition, amps_hot),
+        cold_population=partial(modal_trajectory, decomposition, amps_cold),
         hot_fisher=partial(_modal_fisher, decomposition, derivatives, amps_hot),
         cold_fisher=partial(_modal_fisher, decomposition, derivatives, amps_cold),
         equilibrium_fisher=partial(

@@ -467,8 +467,11 @@ def mle_temperature(
     ``population_fn(time, T)`` must model every supplied record (single
     preparation per call; estimate heterogeneous record sets with separate
     closures).  A 64-point scan brackets the maximum and golden-section search
-    refines it to 1e-8 absolute; boundary maxima and multimodal scans are
-    flagged on the result and warned about.  The error bar comes from the
+    refines it on log-likelihood values.  Those values are flat to rounding
+    within about 1e-7 relative of the maximum, so the estimate's last digits
+    (1e-8 to 1e-7 relative) are search noise, not a limit of the estimator.
+    Boundary maxima and multimodal scans are flagged on the result and warned
+    about.  The error bar comes from the
     total per-shot Fisher information ``fisher_fn(time, T)`` of the records at
     the estimate.
     """
@@ -518,8 +521,8 @@ def mle_temperature(
     best = int(np.argmax(scores))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, _SCAN_POINTS - 1)])
-    # 1e-10 stopping width leaves comfortable margin on the documented
-    # 1e-8 localization guarantee
+    # below about 1e-7 relative the compared values are flat to rounding, so
+    # the 1e-10 stopping width ends the search inside that flat region
     t_hat = _golden_section_maximize(log_likelihood, lo, hi, 1e-10)
 
     span = t_hi - t_lo

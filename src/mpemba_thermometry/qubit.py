@@ -14,10 +14,11 @@ temperature derivatives, which are written in overflow-safe factorized form:
     dT nbar   = (omega0 / T^2) nbar (1 + nbar)
 
 The time-dependent closed forms take ``t`` as a float or as a 1-D array (one
-value per time).  The thermal quantities are computed once per public call,
-the rates and slopes are derived from them, and the decay factor uses
-``math.exp`` per element, so each array entry equals the float call at that
-time bit for bit.
+value per time) and evaluate both on one path: ``t`` becomes a float array
+(0-d for a float), the decay factor is one ``np.exp``, and a float ``t`` gets
+a Python float back.  numpy's ``exp`` gives the same bits for a 0-d and an
+n-d argument, so each array entry equals the float call at that time bit for
+bit.
 """
 
 from __future__ import annotations
@@ -150,32 +151,27 @@ def effective_rate(params: QubitBathParams, p0: float) -> float:
     return _rate(params, p0, thermal_quantities(params))
 
 
-def _check_times(t):
-    """A float ``t`` unchanged, an array as a 1-D float array; negative times rejected."""
-    if isinstance(t, np.ndarray):
-        times = t.astype(float, copy=False)
-        if times.ndim != 1:
-            raise ValueError(f"t must be a float or a 1-D array, got shape {times.shape}")
-        if np.any(times < 0):
-            raise ValueError(f"t must be non-negative, got {float(times.min())}")
-        return times
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    return t
-
-
-def _decay(rate: float, t):
-    """exp(-rate t); per element with ``math.exp`` for an array of times."""
-    if isinstance(t, np.ndarray):
-        return np.array([math.exp(x) for x in (-rate * t).tolist()])
-    return math.exp(-rate * t)
+def _check_times(t) -> np.ndarray:
+    """``t`` as a float array, 0-d for a float; negative and non-finite times rejected."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a float or a 1-D array, got shape {times.shape}")
+    if times.size:
+        # min and max propagate NaN, so one pair of reductions sees every bad entry
+        low, high = float(times.min()), float(times.max())
+        if low < 0:
+            raise ValueError(f"t must be non-negative, got {low}")
+        if not high < math.inf:
+            raise ValueError(f"t must be finite, got {high}")
+    return times
 
 
 def evolve_population(params: QubitBathParams, p0: float, t):
     """Exact solution p(t) = p_eq + (p0 - p_eq) exp(-Gamma t); ``t`` a float or 1-D array."""
-    t = _check_times(t)
+    times = _check_times(t)
     q = thermal_quantities(params)
-    return q.p_eq + (p0 - q.p_eq) * _decay(_rate(params, p0, q), t)
+    p = q.p_eq + (p0 - q.p_eq) * np.exp(-_rate(params, p0, q) * times)
+    return p if times.ndim else float(p)
 
 
 def dT_gibbs(omega0: float, temperature: float) -> float:
@@ -190,17 +186,10 @@ def dT_bose(omega0: float, temperature: float) -> float:
     return (omega0 / temperature**2) * n_bar * (1.0 + n_bar)
 
 
-def _dT_gibbs(params: QubitBathParams, q: ThermalQuantities) -> float:
-    # the float operations of dT_gibbs, on the precomputed p_eq
-    return (params.omega0 / params.temperature**2) * q.p_eq * (1.0 - q.p_eq)
-
-
 def _dT_rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:
     _check_population("p0", p0)
-    # the float operations of dT_bose, on the precomputed nbar
-    d_nbar = (params.omega0 / params.temperature**2) * q.n_bar * (1.0 + q.n_bar)
-    d_gamma0 = 2.0 * params.gamma * d_nbar
-    d_peq = _dT_gibbs(params, q)
+    d_gamma0 = 2.0 * params.gamma * dT_bose(params.omega0, params.temperature)
+    d_peq = dT_gibbs(params.omega0, params.temperature)
     return d_gamma0 * (1.0 + params.alpha * (p0 - q.p_eq)) - params.alpha * q.gamma0 * d_peq
 
 
@@ -220,8 +209,9 @@ def dT_population(params: QubitBathParams, p0: float, t):
     dT p(t) = dT p_eq (1 - e^{-Gamma t}) - (p0 - p_eq) t e^{-Gamma t} dT Gamma,
     with ``t`` a float or a 1-D array.
     """
-    t = _check_times(t)
+    times = _check_times(t)
     q = thermal_quantities(params)
-    decay = _decay(_rate(params, p0, q), t)
-    d_peq = _dT_gibbs(params, q)
-    return d_peq * (1.0 - decay) - (p0 - q.p_eq) * t * decay * _dT_rate(params, p0, q)
+    decay = np.exp(-_rate(params, p0, q) * times)
+    d_peq = dT_gibbs(params.omega0, params.temperature)
+    dp = d_peq * (1.0 - decay) - (p0 - q.p_eq) * times * decay * _dT_rate(params, p0, q)
+    return dp if times.ndim else float(dp)

@@ -347,19 +347,23 @@ def modal_trajectory(
 ) -> np.ndarray:
     """p(t) = pi + sum_{k >= 2} a_k exp(-lambda_k t) v_k, one row per time.
 
-    Negative entries within 1e-12 of zero are clamped to 0; larger ones raise
-    :class:`RateMatrixError`.
+    ``times`` is a 1-D array (one row per time) or a float (one vector, the
+    one-row grid's row).  Negative entries within 1e-12 of zero are clamped to
+    0; larger ones raise :class:`RateMatrixError`.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     a = amplitudes.amplitudes[1:]
     decay = np.exp(-np.outer(times, decomposition.eigenvalues[1:]))
     traj = decomposition.stationary[None, :] + (decay * a[None, :]) @ decomposition.right_modes[:, 1:].T
     low = float(traj.min())
     if low < -1e-12:
         raise RateMatrixError(f"modal populations went negative by {low:.3g}")
-    return np.where(traj < 0.0, 0.0, traj)
+    traj = np.where(traj < 0.0, 0.0, traj)
+    return traj if times.ndim else traj[0]
 
 
 def temperature_derivatives(
@@ -446,6 +450,8 @@ def dT_populations_modal(
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
         raise ValueError(f"t must be non-negative, got {float(times.min())}")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("t must be finite")
     if amplitudes.dT_amplitudes is None:
         raise ValueError("amplitudes carry no dT_amplitudes; use amplitudes_with_derivatives")
     a = amplitudes.amplitudes[1:]

@@ -368,6 +368,27 @@ class TestExitCodes:
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key, template",
+        [
+            ("t_max", "{}"),
+            ("alpha", "{}"),
+            ("delta_tol", "{}"),
+            ("delta_policy", "{}"),
+            ("p_hot", "0.2,{},0.6"),
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, key, template, bad):
+        # float() reads these words; a NaN t_max or alpha would give NaN rows
+        # and a NaN margin would detect nothing, all with exit 0
+        cfg = write_config(tmp_path, f"{key} = {template.format(bad)}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["relax", "--config", cfg, "--output", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_invalid_model_value(self, tmp_path):
         cfg = write_config(tmp_path, "model = spin_chain\n")
         assert main(["relax", "--config", cfg, "--output", str(tmp_path)]) == 2

@@ -2,6 +2,7 @@
 the independent integrator/differentiator, and algebraic invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mpemba_thermometry import (
     gibbs_population_qubit,
     thermal_quantities,
 )
+from mpemba_thermometry.fisher import qfi_qubit_closed_form
 from mpemba_thermometry.oracle import finite_difference_dT, integrate_rate_equation
 from mpemba_thermometry.qubit import (
     ColdLimitWarning,
@@ -186,17 +188,40 @@ class TestTimeArrays:
     def test_array_entries_equal_float_calls_bit_for_bit(self, seed, p0, times):
         params = random_qubit(np.random.default_rng(seed))
         grid = np.array([0.0, *times])
-        for fn in (evolve_population, dT_population):
+        for fn in (evolve_population, dT_population, qfi_qubit_closed_form):
             expected = np.array([fn(params, p0, t) for t in grid.tolist()])
             assert fn(params, p0, grid).tobytes() == expected.tobytes()
 
     def test_float_calls_stay_python_floats(self, canonical_params):
-        # the per-cell callers (protocol) keep the math-only float path
+        # the per-cell callers (protocol) get a float back, not a 0-d array
         assert type(evolve_population(canonical_params, P0_HOT, 1.0)) is float
         assert type(dT_population(canonical_params, P0_HOT, 1.0)) is float
+
+    def test_cold_limit_arrays_are_finite_and_equal_float_calls(self):
+        # omega0/T = 800 is past the overflow cutoff: the zero-temperature
+        # limits stand in, and the late times leave an empty upper level
+        params = QubitBathParams(1.0, 1.0, 1.0 / 800.0, 1.0)
+        grid = np.linspace(0.0, 40.0, 41)
+        for fn in (evolve_population, dT_population, qfi_qubit_closed_form):
+            with pytest.warns(ColdLimitWarning):
+                values = fn(params, P0_HOT, grid)
+            assert np.all(np.isfinite(values))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ColdLimitWarning)
+                expected = np.array([fn(params, P0_HOT, t) for t in grid.tolist()])
+            assert values.tobytes() == expected.tobytes()
 
     def test_negative_time_in_array_rejected(self, canonical_params):
         grid = np.array([0.0, 1.0, -1e-9])
         for fn in (evolve_population, dT_population):
             with pytest.raises(ValueError, match="non-negative"):
                 fn(canonical_params, P0_HOT, grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, canonical_params, bad):
+        # a NaN t would otherwise give NaN values, and an infinite t a NaN
+        # slope (inf * 0)
+        for fn in (evolve_population, dT_population):
+            for t in (bad, np.array([0.0, 1.0, bad])):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(canonical_params, P0_HOT, t)
