@@ -31,7 +31,6 @@ from .oracle import IntegrationUnstableError
 from .protocol import (
     CELLS_ESTIMATE,
     DegenerateModelError,
-    ShotRecord,
     calibrate_equilibrium,
     dynamical_calibration,
     fisher_map,
@@ -57,6 +56,7 @@ _NUMERICAL_ERRORS = (
     qb.UnphysicalRateError,
     ZeroDivisionError,
     FloatingPointError,
+    OverflowError,
 )
 
 
@@ -69,9 +69,13 @@ def _fmt(value) -> str:
 
 
 def _write_text(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(content)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as handle:
+            handle.write(content)
+    except OSError as exc:
+        # an --output that names a file, or a directory that cannot be written
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _csv(header: list[str], rows, trailer: list[str] | None = None) -> str:
@@ -282,34 +286,17 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     try:
         true_temp = config.temperature
         p_eq_true = qb.gibbs_population_qubit(config.omega0, true_temp)
-        if config.shots == 0:
-            p_eq_hat = p_eq_true
-        else:
-            pilot = sample_population(
-                p_eq_true, config.shots, config.seed, cell=CELLS_ESTIMATE
-            )
-            p_eq_hat = pilot.successes / pilot.shots
-        column = nearest_knot(probe_at, fi_map.temperatures, p_eq_hat)
+        pilot = sample_population(p_eq_true, config.shots, config.seed, cell=CELLS_ESTIMATE)
+        column = nearest_knot(probe_at, fi_map.temperatures, pilot.successes / pilot.shots)
         t_interrogate = fi_map.argmax_time(column)
-
-        p_true = population_fn(t_interrogate, true_temp)
-        if config.shots == 0:
-            record = ShotRecord(
-                shots=1,
-                successes=p_true,
-                time=t_interrogate,
-                preparation=config.preparation,
-                seed=config.seed,
-            )
-        else:
-            record = sample_population(
-                p_true,
-                config.shots,
-                config.seed,
-                time=t_interrogate,
-                preparation=config.preparation,
-                cell=CELLS_ESTIMATE + 1,
-            )
+        record = sample_population(
+            population_fn(t_interrogate, true_temp),
+            config.shots,
+            config.seed,
+            time=t_interrogate,
+            preparation=config.preparation,
+            cell=CELLS_ESTIMATE + 1,
+        )
         interval = (0.5 * float(temps[0]), 1.5 * float(temps[-1]))
         result = mle_temperature([record], population_fn, interval, fisher_fn=fisher_fn)
         _write_text(

@@ -128,9 +128,10 @@ def _validate(config: RunConfig) -> RunConfig:
             margin = float(config.delta_policy)
         except ValueError:
             margin = math.nan
-        if not math.isfinite(margin):
+        if not 0.0 <= margin < math.inf:
             raise ConfigError(
-                f"delta_policy must be '3se' or a finite number, got {config.delta_policy!r}"
+                "delta_policy must be '3se' or a finite non-negative number, "
+                f"got {config.delta_policy!r}"
             )
     if config.t_steps < 2:
         raise ConfigError(f"t_steps must be at least 2, got {config.t_steps}")

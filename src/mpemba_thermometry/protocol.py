@@ -12,19 +12,20 @@ order, reproduces the same draws.  Pipeline stages use disjoint cell ranges
 (calibration from 0, then ``CELLS_DYNAMICAL``, ``CELLS_FISHER_MAP`` and
 ``CELLS_ESTIMATE``) to stay non-overlapping under a shared seed.
 
-The per-cell stages (the dynamical calibration and the sampled Fisher map)
-draw through one Philox per stage, reset to counter 0 and re-keyed to
-``(seed, cell)`` before each draw from a state held as plain Python ints: the
-same draws as a fresh ``sampling_stream(seed, cell)``, without building a
+Every draw goes through one sampler per stage (a single record is a stage of
+one draw).  It takes one generator from :func:`sampling_stream` and, before
+each draw, resets it to counter 0 and re-keys it to ``(seed, cell)``: the same
+draws as a fresh ``sampling_stream(seed, cell)``, without building a
 generator per cell.  Seeds and cells are Philox key words, so both must lie
 in [0, 2**64).  The sampled Fisher map fits all its rows, in both monotone
 directions, with one lock-step pool-adjacent-violators pass; ``pav_isotonic``
 is that pass's one-row case.
 
-``shots = 0`` selects the noiseless idealization everywhere: empirical
-frequencies are replaced by exact model populations (and success counts become
-fractional).  That mode exists for validating the pipeline against closed
-forms, not for simulating experiments.
+``shots = 0`` selects the noiseless idealization, and the sampler alone
+decides it: a draw returns the exact model population as the successes of
+one shot (so success counts become fractional), and no generator is built.
+That mode exists for validating the pipeline against closed forms, not for
+simulating experiments.
 """
 
 from __future__ import annotations
@@ -150,11 +151,9 @@ def _check_key(seed: int, cell: int) -> None:
         raise ValueError(f"seed and cell must be below 2**64, got ({seed}, {cell})")
 
 
-def _check_draw(p_true: float, shots: int) -> None:
+def _check_probability(p_true: float) -> None:
     if not 0.0 <= p_true <= 1.0:
         raise ValueError(f"p_true must lie in [0, 1], got {p_true}")
-    if shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots}")
 
 
 def sampling_stream(seed: int, cell: int) -> np.random.Generator:
@@ -162,6 +161,50 @@ def sampling_stream(seed: int, cell: int) -> np.random.Generator:
     _check_key(seed, cell)
     key = np.array([seed, cell], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _sampler(shots: int, seed: int) -> Callable[[float, int], float]:
+    """``successes(p_true, cell)``: one binomial draw of ``shots`` at ``p_true``.
+
+    With ``shots = 0`` the successes are ``p_true`` itself, out of one shot,
+    and no generator is built.  Otherwise one generator from
+    ``sampling_stream(seed, 0)`` serves every draw: its Philox is reset to
+    counter 0, an empty buffer and the key ``(seed, cell)`` before each draw,
+    the state of a fresh ``sampling_stream(seed, cell)``.  That state is held
+    as plain Python ints, since the ``Philox.state`` setter reads it element by
+    element, and only ``key[1]`` changes per draw (a Philox per cell would
+    also build a ``SeedSequence`` from OS entropy that the key overrides).
+    Every draw checks ``p_true``; a sampled draw checks ``cell`` too.
+    """
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative (0 = noiseless), got {shots}")
+    if shots == 0:
+
+        def exact(p_true: float, cell: int) -> float:
+            _check_probability(p_true)
+            return p_true
+
+        return exact
+    rng = sampling_stream(seed, 0)
+    bitgen, binomial = rng.bit_generator, rng.binomial
+    key = [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def successes(p_true: float, cell: int) -> int:
+        _check_probability(p_true)
+        _check_key(seed, cell)
+        key[1] = cell
+        bitgen.state = state
+        return int(binomial(shots, p_true))
+
+    return successes
 
 
 def sample_population(
@@ -172,12 +215,13 @@ def sample_population(
     preparation: str = "equilibrium",
     cell: int = 0,
 ) -> ShotRecord:
-    """Draw a binomial record of ``shots`` measurements at success rate ``p_true``."""
-    _check_draw(p_true, shots)
-    rng = sampling_stream(seed, cell)
-    successes = int(rng.binomial(shots, p_true))
+    """Draw a binomial record of ``shots`` measurements at success rate ``p_true``.
+
+    ``shots = 0`` gives the noiseless record: ``p_true`` successes out of one shot.
+    """
+    successes = _sampler(shots, seed)(p_true, cell)
     return ShotRecord(
-        shots=shots, successes=successes, time=time, preparation=preparation, seed=seed
+        shots=shots or 1, successes=successes, time=time, preparation=preparation, seed=seed
     )
 
 
@@ -260,49 +304,11 @@ def calibrate_equilibrium(
     if np.any(np.diff(temps) <= 0):
         raise ValueError("temperatures must be strictly increasing")
     exact = [probe_at(t).equilibrium for t in temps.tolist()]
-    if shots == 0:
-        observed = np.array(exact)
-        weights = None
-    else:
-        observed = np.empty_like(temps)
-        for j, p in enumerate(exact):
-            record = sample_population(p, shots, seed, cell=j)
-            observed[j] = record.successes / record.shots
-        weights = np.full_like(temps, float(shots))
+    draw = _sampler(shots, seed)
+    per_draw = shots or 1  # a noiseless draw is one shot: unit weights
+    observed = np.array([draw(p, j) / per_draw for j, p in enumerate(exact)])
+    weights = np.full_like(temps, float(per_draw))
     return CalibrationCurve(knots=temps, values=pav_isotonic(observed, weights))
-
-
-def _stage_sampler(shots: int, seed: int) -> Callable[[float, int], float]:
-    """``frequency(p_true, cell)``: the success frequency of ``sample_population``.
-
-    One Philox serves the whole stage.  Before each draw it is reset to
-    counter 0, an empty buffer and the key ``(seed, cell)``, which is the state
-    of a fresh ``Philox(key=(seed, cell))``, so the draws equal those of
-    :func:`sampling_stream`.  The state is held as plain Python ints, since the
-    ``Philox.state`` setter reads it element by element; only ``key[1]``
-    changes per draw.  Building a Philox per cell would also build a
-    ``SeedSequence`` from OS entropy that the key then overrides.
-    """
-    bitgen = np.random.Philox(0)
-    binomial = np.random.Generator(bitgen).binomial
-    key = [seed, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-    def frequency(p_true: float, cell: int) -> float:
-        _check_draw(p_true, shots)
-        _check_key(seed, cell)
-        key[1] = cell
-        bitgen.state = state
-        return int(binomial(shots, p_true)) / shots
-
-    return frequency
 
 
 def dynamical_calibration(
@@ -336,9 +342,15 @@ def dynamical_calibration(
     times = np.asarray(time_grid, dtype=float)
     if np.any(np.diff(times) <= 0) or times.size < 2:
         raise ValueError("time_grid must be strictly increasing with at least two points")
-    if isinstance(delta_policy, str) and delta_policy != "3se":
-        raise ValueError(f"unknown delta policy {delta_policy!r}")
-    frequency = (lambda p, cell: p) if shots == 0 else _stage_sampler(shots, seed)
+    if isinstance(delta_policy, str):
+        if delta_policy != "3se":
+            raise ValueError(f"unknown delta policy {delta_policy!r}")
+    elif not 0.0 <= delta_policy < math.inf:
+        raise ValueError(
+            f"delta_policy must be '3se' or a finite non-negative number, got {delta_policy!r}"
+        )
+    draw = _sampler(shots, seed)
+    per_draw = shots or 1  # a noiseless draw is one shot
     # the margin: three pooled standard errors per time point, else a constant
     three_se = shots != 0 and isinstance(delta_policy, str)
     delta = 0.0 if shots == 0 or three_se else float(delta_policy)
@@ -349,15 +361,15 @@ def dynamical_calibration(
     for j, temp in enumerate(temps.tolist()):
         pair = probe_at(temp)
         base = CELLS_DYNAMICAL + j * stride
-        p_eq_hat = frequency(pair.equilibrium, base)
+        p_eq_hat = draw(pair.equilibrium, base) / per_draw
         hot = pair.hot_population(times).tolist()
         cold = pair.cold_population(times).tolist()
         crossing: float | None = None
         for t, p_hot, p_cold, cell in zip(
             times.tolist(), hot, cold, range(base + 1, base + stride, 2)
         ):
-            hot_hat = frequency(p_hot, cell)
-            cold_hat = frequency(p_cold, cell + 1)
+            hot_hat = draw(p_hot, cell) / per_draw
+            cold_hat = draw(p_cold, cell + 1) / per_draw
             if three_se:
                 ph = min(max(hot_hat, lo), hi)
                 pc = min(max(cold_hat, lo), hi)
@@ -407,8 +419,7 @@ def fisher_map(
     """
     times = np.asarray(times, dtype=float)
     temps = np.asarray(temperatures, dtype=float)
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative (0 = noiseless), got {shots}")
+    draw = _sampler(shots, seed)  # rejects shots < 0; exact rows are not drawn
     if temps.size < 5:
         raise ValueError("need at least 5 temperature knots for local quadratic fits")
     if np.any(np.diff(temps) <= 0):
@@ -417,9 +428,8 @@ def fisher_map(
     for j, temp in enumerate(temps.tolist()):
         rows[:, j] = population_fn(times, temp)
     if shots >= 1:
-        frequency = _stage_sampler(shots, seed)
         sampled = np.array(
-            [frequency(p, CELLS_FISHER_MAP + k) for k, p in enumerate(rows.ravel().tolist())]
+            [draw(p, CELLS_FISHER_MAP + k) / shots for k, p in enumerate(rows.ravel().tolist())]
         ).reshape(rows.shape)
         # both directions of every row in one pass: decreasing = -increasing(-y)
         both = np.vstack([sampled, -sampled])

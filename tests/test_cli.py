@@ -389,6 +389,47 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("margin", ["-0.5", "-1e-300"])
+    def test_negative_margin_is_config_error(self, tmp_path, capsys, margin):
+        # a negative margin would report a crossing at t = 0 in every row
+        cfg = write_config(tmp_path, f"delta_policy = {margin}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["protocol", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "delta_policy must be '3se' or a finite non-negative number" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem", "protocol"])
+    def test_output_naming_a_file_is_config_error(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        assert main([command, "--output", str(taken)]) == 2
+        assert "configuration error: cannot write output:" in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("model", ["qubit", "lambda"])
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem"])
+    def test_overflowing_temperature_is_numerical_failure(self, tmp_path, capsys, command, model):
+        # dT n-bar squares the temperature, past float range above about 1.34e154
+        cfg = write_config(tmp_path, f"model = {model}\ntemperature = 1e200\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 3
+        assert "numerical failure: (34, 'Numerical result out of range')" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_calibration_fails_its_step(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "calib_t_max = 1e300\n")
+        assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 3
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert manifest[0] == "step_calibration = failed: (34, 'Numerical result out of range')"
+        assert manifest[1:] == [
+            "step_inversion_map = skipped",
+            "step_fisher_map = skipped",
+            "step_estimate = skipped",
+        ]
+        assert "failed" in capsys.readouterr().err
+
     def test_invalid_model_value(self, tmp_path):
         cfg = write_config(tmp_path, "model = spin_chain\n")
         assert main(["relax", "--config", cfg, "--output", str(tmp_path)]) == 2

@@ -52,25 +52,25 @@ def qubit_probe(factory=lambda T: QubitBathParams(1.0, 1.0, T, 1.0), p0_hot=0.9,
 
 
 def sampled_frequency(p: float, shots: int, seed: int, cell: int) -> float:
-    record = sample_population(p, shots, seed, cell=cell)
-    return record.successes / record.shots
+    """The success frequency of a fresh stream for ``cell``: the independent reference."""
+    return int(sampling_stream(seed, cell).binomial(shots, p)) / shots
 
 
 def recording_sampler(monkeypatch) -> list[int]:
-    """Record every cell the stage sampler draws, in draw order."""
+    """Record every cell a stage draws, in draw order."""
     drawn: list[int] = []
-    real = protocol._stage_sampler
+    real = protocol._sampler
 
     def recording(shots, seed):
-        frequency = real(shots, seed)
+        draw = real(shots, seed)
 
         def recorded(p, cell):
             drawn.append(cell)
-            return frequency(p, cell)
+            return draw(p, cell)
 
         return recorded
 
-    monkeypatch.setattr(protocol, "_stage_sampler", recording)
+    monkeypatch.setattr(protocol, "_sampler", recording)
     return drawn
 
 
@@ -134,8 +134,22 @@ class TestSamplingStreams:
             sampling_stream(-1, 0)
         with pytest.raises(ValueError):
             sample_population(1.2, 10, seed=0)
-        with pytest.raises(ValueError):
-            sample_population(0.5, 0, seed=0)
+        with pytest.raises(ValueError, match="shots must be non-negative"):
+            sample_population(0.5, -1, seed=0)
+
+    def test_noiseless_record_is_the_population_out_of_one_shot(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(protocol, "sampling_stream", lambda *key: built.append(key))
+        record = sample_population(0.37, 0, seed=5, time=1.5, preparation="hot", cell=3)
+        assert record == ShotRecord(
+            shots=1, successes=0.37, time=1.5, preparation="hot", seed=5
+        )
+        assert built == []
+        for p in (-0.1, 1.2, math.nan):
+            with pytest.raises(ValueError, match="p_true must lie in"):
+                sample_population(p, 0, seed=5)
+        with pytest.raises(ValueError, match="shots must be non-negative"):
+            sample_population(0.37, -1, seed=5)
 
     @given(
         seed=st.one_of(st.integers(0, 2**63), st.integers(2**64 - 2**10, 2**64 - 1)),
@@ -151,36 +165,40 @@ class TestSamplingStreams:
         order=st.randoms(use_true_random=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_stage_sampler_draws_what_sample_population_draws(self, seed, shots, cells, order):
+    def test_sampler_draws_what_a_fresh_stream_draws(self, seed, shots, cells, order):
         cells = cells + cells[:3]  # repeated cells and repeated (p, shots) pairs
         order.shuffle(cells)
-        frequency = protocol._stage_sampler(shots, seed)
+        draw = protocol._sampler(shots, seed)
         for cell, p in cells:
-            assert frequency(p, cell) == sampled_frequency(p, shots, seed, cell)
+            expected = int(sampling_stream(seed, cell).binomial(shots, p))
+            assert draw(p, cell) == expected
+            assert sample_population(p, shots, seed, cell=cell).successes == expected
         # a rejected call leaves nothing behind for the next draw
         with pytest.raises(ValueError):
-            frequency(1.5, cells[0][0])
+            draw(1.5, cells[0][0])
         with pytest.raises(ValueError):
-            frequency(0.5, 2**64)
+            draw(0.5, 2**64)
         cell, p = cells[-1]
-        assert frequency(p, cell) == sampled_frequency(p, shots, seed, cell)
+        assert draw(p, cell) == int(sampling_stream(seed, cell).binomial(shots, p))
 
     @pytest.mark.parametrize(
-        "p, shots, seed, cell",
-        [(1.2, 10, 0, 0), (-0.1, 10, 0, 0), (0.5, 0, 0, 0), (0.5, -3, 0, 0),
-         (0.5, 10, -1, 0), (0.5, 10, 0, -4), (2.0, 0, -1, -1),
-         (0.5, 10, 2**64, 0), (0.5, 10, 0, 2**64), (0.5, 10, 2**65, 2**64 + 1)],
+        "p, shots, seed, cell, message",
+        [(1.2, 10, 0, 0, "p_true"), (-0.1, 10, 0, 0, "p_true"), (math.nan, 0, 0, 0, "p_true"),
+         (0.5, -3, 0, 0, "shots must be non-negative"),
+         (0.5, 10, -1, 0, "must be non-negative"), (0.5, 10, 0, -4, "must be non-negative"),
+         (2.0, 0, -1, -1, "p_true"), (0.5, 10, 2**64, 0, "below 2"),
+         (0.5, 10, 0, 2**64, "below 2"), (0.5, 10, 2**65, 2**64 + 1, "below 2")],
     )
-    def test_stage_sampler_rejects_what_sample_population_rejects(self, p, shots, seed, cell):
-        with pytest.raises(ValueError) as expected:
+    def test_sampler_rejects_what_sample_population_rejects(self, p, shots, seed, cell, message):
+        with pytest.raises(ValueError, match=message) as expected:
             sample_population(p, shots, seed, cell=cell)
         with pytest.raises(ValueError) as got:
-            protocol._stage_sampler(shots, seed)(p, cell)
+            protocol._sampler(shots, seed)(p, cell)
         assert str(got.value) == str(expected.value)
 
-    def test_only_public_entry_points_build_streams(self, monkeypatch):
-        # the per-cell stages draw through the re-keyed stage sampler; only
-        # calibration and single records build a generator per cell
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_each_sampled_stage_builds_one_stream(self, monkeypatch, shots):
+        # a stage re-keys one stream per draw; the noiseless stages build none
         built: list[tuple[int, int]] = []
         real = protocol.sampling_stream
 
@@ -190,17 +208,20 @@ class TestSamplingStreams:
 
         monkeypatch.setattr(protocol, "sampling_stream", counting)
         temps = np.linspace(0.3, 0.7, 7)
-        fisher_map(hot_model, np.linspace(0.0, 3.0, 11), temps, shots=1000, seed=3)
-        dynamical_calibration(
-            qubit_probe(lambda T: QubitBathParams(1.0, 1.0, T, 0.0)), temps,
-            np.linspace(0.0, 4.0, 21), shots=1000, seed=3,
-        )
-        assert built == []
-        calibrate_equilibrium(qubit_probe(), temps, shots=1000, seed=3)
-        assert built == [(3, j) for j in range(temps.size)]
-        built.clear()
-        sample_population(0.4, 100, seed=3, cell=9)
-        assert built == [(3, 9)]
+        one_stream = [(3, 0)] if shots else []
+        stages = [
+            lambda: fisher_map(hot_model, np.linspace(0.0, 3.0, 11), temps, shots=shots, seed=3),
+            lambda: dynamical_calibration(
+                qubit_probe(lambda T: QubitBathParams(1.0, 1.0, T, 0.0)), temps,
+                np.linspace(0.0, 4.0, 21), shots=shots, seed=3,
+            ),
+            lambda: calibrate_equilibrium(qubit_probe(), temps, shots=shots, seed=3),
+            lambda: sample_population(0.4, shots, seed=3, cell=9),
+        ]
+        for stage in stages:
+            built.clear()
+            stage()
+            assert built == one_stream
 
 
 class TestIsotonicFit:
@@ -321,14 +342,12 @@ def reference_dynamical_calibration(
     factory, p0_hot, p0_cold, temps, grid, shots, seed, delta_policy="3se"
 ):
     """The crossing search one cell at a time: float model calls and one
-    ``sample_population`` per cell; returns the crossings and the drawn cells."""
+    fresh stream per sampled cell; returns the crossings and the drawn cells."""
     drawn: list[int] = []
 
     def observe(p: float, cell: int) -> float:
-        if shots == 0:
-            return p
         drawn.append(cell)
-        return sampled_frequency(p, shots, seed, cell)
+        return p if shots == 0 else sampled_frequency(p, shots, seed, cell)
 
     out = {}
     stride = 2 * len(grid) + 1
@@ -430,6 +449,16 @@ class TestDynamicalCalibration:
             dynamical_calibration(
                 qubit_probe(self.FACTORY), [0.5], self.GRID, shots=100, seed=0,
                 delta_policy="5se",
+            )
+
+    @pytest.mark.parametrize("shots", [0, 100])
+    @pytest.mark.parametrize("policy", [-0.5, -1e-300, -math.inf, math.inf, math.nan])
+    def test_negative_or_non_finite_margin_rejected(self, shots, policy):
+        # a negative margin reports a crossing wherever the distances tie, at t = 0
+        with pytest.raises(ValueError, match="finite non-negative number"):
+            dynamical_calibration(
+                qubit_probe(self.FACTORY), [0.5], self.GRID, shots=shots, seed=0,
+                delta_policy=policy,
             )
 
 
