@@ -20,12 +20,10 @@ import numpy as np
 from . import qubit as qb
 from .certificates import verify_theorem
 from .config import ConfigError, RunConfig, load_config
-from .fisher import (
-    DivergentFisherError,
-    qfi_equilibrium,
-    qfi_qubit_closed_form,
+from .fisher import DivergentFisherError
+from .instances import (
+    make_lambda_pair, make_lambda_probe, make_qubit_pair, make_qubit_probe, measured_level
 )
-from .instances import make_lambda_pair, make_qubit_pair
 from .mpemba import TrajectoryOrderingError, distance_series, qfi_gain
 from .oracle import IntegrationUnstableError
 from .protocol import (
@@ -95,33 +93,30 @@ def _csv(header: list[str], rows, trailer: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _qubit_params(config: RunConfig, temperature: float) -> qb.QubitBathParams:
-    return qb.QubitBathParams(
-        omega0=config.omega0,
-        gamma=config.gamma,
-        temperature=temperature,
-        alpha=config.alpha,
+def _bath(config: RunConfig, temperature: float):
+    """The model's bath at ``temperature``: the qubit's parameters or the ladder's generator."""
+    if config.model == "qubit":
+        return qb.QubitBathParams(config.omega0, config.gamma, temperature, config.alpha)
+    return build_lambda_rate_matrix(
+        config.e1, config.e2, config.e3, config.kappa1, config.kappa2, temperature
     )
 
 
 def _build_pair(config: RunConfig, temperature: float):
     """The configured probe pair against a bath at ``temperature``."""
     if config.model == "qubit":
-        return make_qubit_pair(
-            _qubit_params(config, temperature), config.p0_hot, config.p0_cold
-        )
-    rate_matrix = build_lambda_rate_matrix(
-        config.e1,
-        config.e2,
-        config.e3,
-        config.kappa1,
-        config.kappa2,
-        temperature,
-    )
+        return make_qubit_pair(_bath(config, temperature), config.p0_hot, config.p0_cold)
     norm = config.norm_kind or "euclidean"
     return make_lambda_pair(
-        rate_matrix, np.array(config.p_hot), np.array(config.p_cold), norm_kind=norm
+        _bath(config, temperature), np.array(config.p_hot), np.array(config.p_cold), norm_kind=norm
     )
+
+
+def _build_probe(config: RunConfig, hot: bool, temperature: float):
+    """The hot preparation (or, with ``hot`` false, the thermalized probe) at ``temperature``."""
+    if config.model == "qubit":
+        return make_qubit_probe(_bath(config, temperature), config.p0_hot if hot else None)
+    return make_lambda_probe(_bath(config, temperature), np.array(config.p_hot) if hot else None)
 
 
 def _time_grid(config: RunConfig) -> np.ndarray:
@@ -138,9 +133,7 @@ def cmd_relax(config: RunConfig, out_dir: Path) -> int:
     eq = pair.equilibrium
     d_hot = distance_series(hot, eq, record.norm_kind)
     d_cold = distance_series(cold, eq, record.norm_kind)
-    if hot.ndim == 2:
-        # scalar columns carry the top-level (most informative) population
-        hot, cold, eq = hot[:, -1], cold[:, -1], eq[-1]
+    hot, cold, eq = (measured_level(states, eq) for states in (hot, cold, eq))
     rows = np.column_stack([times, hot, cold, np.full(times.shape, eq), d_hot, d_cold])
     trailer = [
         f"inversion_detected = {'true' if record.detected else 'false'}",
@@ -171,20 +164,14 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
         return 0
     if config.model != "qubit":
         raise ConfigError("qfi_mode = surface requires model = qubit")
-    params = _qubit_params(config, config.temperature)
-    p_eq = qb.gibbs_population_qubit(config.omega0, config.temperature)
+    probe = partial(make_qubit_probe, _bath(config, config.temperature))
+    p_eq = probe(None).population(0.0)
     preparations = list(np.linspace(config.p0_min, config.p0_max, config.p0_steps))
     if not any(abs(p - p_eq) < 1e-15 for p in preparations):
         preparations.append(p_eq)  # the equilibrium-prepared reference row
     preparations.sort()
-    rows = np.vstack(
-        [
-            np.column_stack(
-                [np.full(times.shape, p0), times, qfi_qubit_closed_form(params, p0, times)]
-            )
-            for p0 in preparations
-        ]
-    )
+    blocks = [(np.full(times.shape, p0), times, probe(p0).fisher(times)) for p0 in preparations]
+    rows = np.vstack([np.column_stack(block) for block in blocks])
     content = _csv(["p0", "t", "f"], rows)
     _write_text(out_dir / "qfi.csv", content)
     return 0
@@ -200,30 +187,25 @@ def cmd_theorem(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     """End-to-end pipeline: calibrate, map, and estimate the temperature."""
-    if config.model != "qubit":
-        raise ConfigError("the estimation protocol supports model = qubit only")
-    manifest: list[str] = []
     probe_at = partial(_build_pair, config)
+    # the map and the likelihood model only the interrogated preparation: a
+    # probe per scanned temperature checks no other one, up to 1.5 calib_t_max
+    interrogated = partial(_build_probe, config, config.preparation == "hot")
 
-    def finish(status: int) -> int:
-        _write_text(out_dir / "manifest.txt", "\n".join(manifest) + "\n")
-        return status
+    def population_fn(t, temp: float):
+        return interrogated(temp).population(t)
 
-    steps = ["calibration", "inversion_map", "fisher_map", "estimate"]
-
-    def fail(step: str, exc: Exception) -> int:
-        manifest.append(f"step_{step} = failed: {exc}")
-        for later in steps[steps.index(step) + 1 :]:
-            manifest.append(f"step_{later} = skipped")
-        print(f"protocol step {step} failed: {exc}", file=sys.stderr)
-        return finish(3)
+    def fisher_fn(t: float, temp: float) -> float:
+        return interrogated(temp).fisher(t)
 
     temps = np.linspace(config.calib_t_min, config.calib_t_max, config.calib_t_points)
     times = _time_grid(config)
     delta_policy: str | float = config.delta_policy
     if delta_policy != "3se":
         delta_policy = float(delta_policy)
-
+    steps = ["calibration", "inversion_map", "fisher_map", "estimate"]
+    manifest: list[str] = []
+    status = 0
     try:
         curve = calibrate_equilibrium(probe_at, temps, config.shots, config.seed)
         _write_text(
@@ -231,66 +213,28 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
             _csv(["temperature", "p_fit"], np.column_stack([curve.knots, curve.values])),
         )
         manifest.append("step_calibration = ok")
-    except _NUMERICAL_ERRORS as exc:
-        return fail("calibration", exc)
 
-    try:
         crossings = dynamical_calibration(
             probe_at, temps, times, config.shots, config.seed, delta_policy=delta_policy
         )
-        _write_text(
-            out_dir / "inversion_map.csv",
-            _csv(
-                ["temperature", "t_crossing"],
-                [[t, crossings[float(t)]] for t in temps],
-            ),
-        )
+        rows = [[t, crossings[float(t)]] for t in temps]
+        _write_text(out_dir / "inversion_map.csv", _csv(["temperature", "t_crossing"], rows))
         manifest.append("step_inversion_map = ok")
-    except _NUMERICAL_ERRORS as exc:
-        return fail("inversion_map", exc)
 
-    # the map and the likelihood model only the interrogated preparation; a
-    # pair per likelihood evaluation would also check the other one at every
-    # scanned temperature, up to 1.5 calib_t_max
-    if config.preparation == "hot":
-
-        def population_fn(t: float, temp: float) -> float:
-            return qb.evolve_population(_qubit_params(config, temp), config.p0_hot, t)
-
-        def fisher_fn(t: float, temp: float) -> float:
-            return qfi_qubit_closed_form(_qubit_params(config, temp), config.p0_hot, t)
-
-    else:
-
-        def population_fn(t: float, temp: float) -> float:
-            return qb.gibbs_population_qubit(config.omega0, temp)
-
-        def fisher_fn(t: float, temp: float) -> float:
-            return qfi_equilibrium(config.omega0, temp)
-
-    try:
-        fi_map = fisher_map(
-            population_fn, times, temps, shots=config.shots, seed=config.seed
-        )
+        fi_map = fisher_map(population_fn, times, temps, shots=config.shots, seed=config.seed)
         # temperature-major rows: every time of the first temperature, then the next
         temps_col = np.repeat(fi_map.temperatures, fi_map.times.size)
         times_col = np.tile(fi_map.times, fi_map.temperatures.size)
         table = np.column_stack([temps_col, times_col, fi_map.values.T.ravel()])
-        _write_text(
-            out_dir / "fisher_map.csv", _csv(["temperature", "time", "fisher"], table)
-        )
+        _write_text(out_dir / "fisher_map.csv", _csv(["temperature", "time", "fisher"], table))
         manifest.append("step_fisher_map = ok")
-    except _NUMERICAL_ERRORS as exc:
-        return fail("fisher_map", exc)
 
-    try:
-        true_temp = config.temperature
-        p_eq_true = qb.gibbs_population_qubit(config.omega0, true_temp)
+        p_eq_true = _build_probe(config, False, config.temperature).population(0.0)
         pilot = sample_population(p_eq_true, config.shots, config.seed, cell=CELLS_ESTIMATE)
         column = nearest_knot(probe_at, fi_map.temperatures, pilot.successes / pilot.shots)
         t_interrogate = fi_map.argmax_time(column)
         record = sample_population(
-            population_fn(t_interrogate, true_temp),
+            population_fn(t_interrogate, config.temperature),
             config.shots,
             config.seed,
             time=t_interrogate,
@@ -308,9 +252,14 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         )
         manifest.append("step_estimate = ok")
     except _NUMERICAL_ERRORS as exc:
-        return fail("estimate", exc)
-
-    return finish(0)
+        # each finished step has written its line, so the failing step is the next
+        failed = len(manifest)
+        manifest.append(f"step_{steps[failed]} = failed: {exc}")
+        manifest.extend(f"step_{later} = skipped" for later in steps[failed + 1 :])
+        print(f"protocol step {steps[failed]} failed: {exc}", file=sys.stderr)
+        status = 3
+    _write_text(out_dir / "manifest.txt", "\n".join(manifest) + "\n")
+    return status
 
 
 _COMMANDS = {

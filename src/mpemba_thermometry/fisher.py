@@ -24,6 +24,7 @@ from .qubit import (
 __all__ = [
     "DivergentFisherError",
     "fisher_from_populations",
+    "binomial_fisher",
     "qfi_qubit_closed_form",
     "qfi_equilibrium",
 ]
@@ -99,16 +100,22 @@ def qfi_qubit_closed_form(params: QubitBathParams, p0: float, t):
                  + (p0 - p_eq)^2 t^2 E^2 (dT Gamma)^2
                  - 2 (p0 - p_eq) (dT p_eq) t E (1-E) dT Gamma ] / (p (1-p)).
 
-    It is evaluated unexpanded, as the two-level case of
-    :func:`fisher_from_populations` over (1 - p, p) and (-dT p, dT p), with p
-    from :func:`~.qubit.evolve_population` and dT p from
-    :func:`~.qubit.dT_population`; the expansion would cancel near a zero of
-    dT p.  So the floor and divergence rules are that function's, and ``t``
-    is a float (a float is returned) or a 1-D array whose entries equal the
-    float call at that time bit for bit.
+    It is evaluated unexpanded, as :func:`binomial_fisher` of p from
+    :func:`~.qubit.evolve_population` and dT p from :func:`~.qubit.dT_population`;
+    the expansion would cancel near a zero of dT p.  So the floor and divergence
+    rules are :func:`fisher_from_populations`', and ``t`` is a float (a float is
+    returned) or a 1-D array whose entries equal the float call at that time bit
+    for bit.
     """
-    p = evolve_population(params, p0, t)
-    dp = dT_population(params, p0, t)
+    return binomial_fisher(evolve_population(params, p0, t), dT_population(params, p0, t))
+
+
+def binomial_fisher(p, dp):
+    """Fisher information (dT p)^2 / (p (1 - p)) of reading one level.
+
+    It is :func:`fisher_from_populations` over (1 - p, p) and (-dT p, dT p), for
+    a float (a float is returned) or a 1-D array (one value per entry).
+    """
     return fisher_from_populations(np.array([1.0 - p, p]).T, np.array([-dp, dp]).T)
 
 

@@ -1,4 +1,4 @@
-"""Paired hot/cold relaxation experiments against a common bath.
+"""Hot/cold relaxation experiments against a common bath, and single probes.
 
 One :class:`ProbePair` serves both probes.  :func:`make_qubit_pair` binds the
 two-level closed forms; :func:`make_lambda_pair` decomposes the generator once,
@@ -8,6 +8,9 @@ grid scaled to the slowest rate present, and the slow-mode data the theorem
 certificate compares.  Every ``hot_*``/``cold_*`` evaluator takes ``t`` as a
 float or a 1-D array and answers per time.  A pair fixes its norm when it is
 made; the ordering check and every detection use it.
+
+A :class:`Probe` is one preparation (``None``: the thermalized probe) against
+one bath, read on its measured level; it checks only its own preparation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qubit as qb
-from .fisher import fisher_from_populations, qfi_equilibrium, qfi_qubit_closed_form
+from .fisher import (
+    binomial_fisher, fisher_from_populations, qfi_equilibrium, qfi_qubit_closed_form
+)
 from .mpemba import InversionRecord, detect_inversion, thermal_distance
 from .spectral import (
     ModalAmplitudes,
@@ -33,7 +38,10 @@ from .spectral import (
     temperature_derivatives,
 )
 
-__all__ = ["ProbePair", "make_qubit_pair", "make_lambda_pair"]
+__all__ = [
+    "ProbePair", "make_qubit_pair", "make_lambda_pair",
+    "Probe", "make_qubit_probe", "make_lambda_probe", "measured_level",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,4 +171,59 @@ def make_lambda_pair(
         derivatives=derivatives,
         amps_hot=amps_hot,
         amps_cold=amps_cold,
+    )
+
+
+def measured_level(states, equilibrium=None):
+    """``states`` read on the measured level.
+
+    A scalar state is its own level; a population vector reads its top level.
+    ``states`` is one state, or with ``equilibrium`` states shaped like it, one per time.
+    """
+    single = states if equilibrium is None else equilibrium
+    return states if np.ndim(single) == 0 else np.asarray(states)[..., -1]
+
+
+def _held(value: Callable, *args) -> Callable:
+    """``t -> value(*args)`` at every time: a float for a float ``t``, an array for an array."""
+    return lambda t: value(*args) if np.ndim(t) == 0 else np.full(np.shape(t), value(*args))
+
+
+@dataclass(frozen=True, eq=False)
+class Probe:
+    """One preparation against one bath, read on its measured level.
+
+    ``population(t)`` is that level's population and ``fisher(t)`` the binomial
+    Fisher information of reading it, for a float or a 1-D array ``t``.
+    """
+
+    population: Callable
+    fisher: Callable
+
+
+def make_qubit_probe(params: qb.QubitBathParams, p0: float | None) -> Probe:
+    """Bind the two-level closed forms to ``p0``, or to the thermalized probe."""
+    if p0 is None:
+        bath = (params.omega0, params.temperature)
+        return Probe(_held(qb.gibbs_population_qubit, *bath), _held(qfi_equilibrium, *bath))
+    return Probe(
+        partial(qb.evolve_population, params, p0), partial(qfi_qubit_closed_form, params, p0)
+    )
+
+
+def make_lambda_probe(rate_matrix: RateMatrix, preparation: np.ndarray | None) -> Probe:
+    """Decompose once and read the top level of ``preparation``, or of the thermalized probe."""
+    decomposition = decompose(rate_matrix)
+    derivatives = temperature_derivatives(rate_matrix, decomposition)
+    if preparation is None:
+        p = float(measured_level(decomposition.stationary))
+        dp = float(measured_level(derivatives.d_stationary))
+        return Probe(_held(float, p), _held(binomial_fisher, p, dp))
+    amplitudes = amplitudes_with_derivatives(decomposition, derivatives, preparation)
+    population = partial(modal_trajectory, decomposition, amplitudes)
+    sensitivity = partial(dT_populations_modal, decomposition, amplitudes, derivatives)
+    top = partial(measured_level, equilibrium=decomposition.stationary)
+    return Probe(
+        lambda t: top(population(t)),
+        lambda t: binomial_fisher(top(population(t)), top(sensitivity(t))),
     )

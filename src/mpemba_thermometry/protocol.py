@@ -1,12 +1,14 @@
 """Operational thermometry pipeline: sampling, calibration, mapping, estimation.
 
 Everything here works on finite-shot binomial records of one measured
-population.  The calibration stages and the column choice of the estimate read
-the model from one factory, ``probe_at(T) -> ProbePair``, through the pair's
-``equilibrium``, ``hot_population`` and ``cold_population``; the Fisher map and
-the likelihood take closures over the preparation being interrogated.  No
-model module is imported here.  Randomness is counter-based for
-reproducibility *and* order-independence: every sampling cell draws from
+population: the state's :func:`~.instances.measured_level`, the top level of a
+population vector.  The calibration stages and the column choice of the
+estimate read the model from one factory, ``probe_at(T) -> ProbePair``, through
+the pair's ``equilibrium``, ``hot_population`` and ``cold_population``; the
+Fisher map and the likelihood take closures over the interrogated preparation
+(one :class:`~.instances.Probe` per temperature in the CLI).  No model module
+is imported here.  Randomness is counter-based for reproducibility *and*
+order-independence: every sampling cell draws from
 ``Philox(key=(seed, cell_index))``, so re-running any subset of cells, in any
 order, reproduces the same draws.  Pipeline stages use disjoint cell ranges
 (calibration from 0, then ``CELLS_DYNAMICAL``, ``CELLS_FISHER_MAP`` and
@@ -37,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .instances import ProbePair
+from .instances import ProbePair, measured_level
 
 __all__ = [
     "DegenerateModelError",
@@ -293,7 +295,7 @@ def calibrate_equilibrium(
 ) -> CalibrationCurve:
     """Sampled equilibrium populations per temperature, isotonized.
 
-    The populations are ``probe_at(T).equilibrium``, one pair per temperature.
+    The populations are ``probe_at(T).equilibrium`` on its measured level, one pair per T.
     The equilibrium population increases with temperature, so the empirical
     frequencies are regularized by a non-decreasing isotonic fit before
     interpolation.  Temperature j draws from cell j.
@@ -303,7 +305,7 @@ def calibrate_equilibrium(
         raise ValueError("need at least two calibration temperatures")
     if np.any(np.diff(temps) <= 0):
         raise ValueError("temperatures must be strictly increasing")
-    exact = [probe_at(t).equilibrium for t in temps.tolist()]
+    exact = [measured_level(probe_at(t).equilibrium) for t in temps.tolist()]
     draw = _sampler(shots, seed)
     per_draw = shots or 1  # a noiseless draw is one shot: unit weights
     observed = np.array([draw(p, j) / per_draw for j, p in enumerate(exact)])
@@ -321,13 +323,14 @@ def dynamical_calibration(
 ) -> dict[float, float | None]:
     """Empirical crossing times from finite-shot distance comparisons.
 
-    For each temperature T, both preparations of ``probe_at(T)`` are sampled
-    along the time grid together with an equilibrium reference, and the first
-    grid time where D_hot < D_cold - delta is recorded (None when no crossing
-    clears the margin).  The default margin policy ``"3se"`` sets delta to three combined
-    binomial standard errors, with frequencies clipped to [1/(2 shots),
-    1 - 1/(2 shots)] so empty cells do not produce a zero margin; a float sets
-    a constant margin; the noiseless mode (shots = 0) uses delta = 0.
+    For each temperature T, the measured level of both preparations of
+    ``probe_at(T)`` is sampled along the time grid together with an
+    equilibrium reference, and the first grid time where D_hot < D_cold - delta
+    is recorded (None when no crossing clears the margin).  The default margin
+    policy ``"3se"`` sets delta to three combined binomial standard errors,
+    with frequencies clipped to [1/(2 shots), 1 - 1/(2 shots)] so empty cells
+    do not produce a zero margin; a float sets a constant margin; the
+    noiseless mode (shots = 0) uses delta = 0.
 
     Cell layout per temperature j, with M time points: equilibrium reference
     at ``CELLS_DYNAMICAL + j (2 M + 1)``, then hot/cold pairs at the following
@@ -336,7 +339,9 @@ def dynamical_calibration(
     drawn in time order and no cell past the first crossing is drawn.  That
     lazy stop is why the distances are written inline, one cell
     at a time: ``abs(p_hat - p_eq_hat)`` is the scalar case of
-    :func:`mpemba.distance_series`' ``scalar_abs`` kernel.
+    :func:`mpemba.distance_series`' ``scalar_abs`` kernel.  So a ladder's
+    sampled crossing compares ``scalar_abs`` distances of its top level, while
+    the pair's ordering check keeps the pair's own norm.
     """
     temps = np.asarray(temperatures, dtype=float)
     times = np.asarray(time_grid, dtype=float)
@@ -361,9 +366,9 @@ def dynamical_calibration(
     for j, temp in enumerate(temps.tolist()):
         pair = probe_at(temp)
         base = CELLS_DYNAMICAL + j * stride
-        p_eq_hat = draw(pair.equilibrium, base) / per_draw
-        hot = pair.hot_population(times).tolist()
-        cold = pair.cold_population(times).tolist()
+        p_eq_hat = draw(measured_level(pair.equilibrium), base) / per_draw
+        hot = measured_level(pair.hot_population(times), pair.equilibrium).tolist()
+        cold = measured_level(pair.cold_population(times), pair.equilibrium).tolist()
         crossing: float | None = None
         for t, p_hot, p_cold, cell in zip(
             times.tolist(), hot, cold, range(base + 1, base + stride, 2)
@@ -562,7 +567,7 @@ def nearest_knot(
 ) -> int:
     """Index of the knot whose temperature best reproduces an equilibrium population.
 
-    With g the equilibrium ``probe_at(m).equilibrium`` at each midpoint m
+    With g the measured level of ``probe_at(m).equilibrium`` at each midpoint m
     between neighbouring knots, knot k is chosen when g[k-1] < p <= g[k]: the
     knot nearest the temperature whose equilibrium is ``p_measured``.  A
     population outside the calibrated range clamps to the edge knot, and a
@@ -571,7 +576,7 @@ def nearest_knot(
     """
     knots = np.asarray(knots, dtype=float)
     midpoints = 0.5 * (knots[:-1] + knots[1:])
-    g = np.array([probe_at(m).equilibrium for m in midpoints.tolist()])
+    g = np.array([measured_level(probe_at(m).equilibrium) for m in midpoints.tolist()])
     if np.any(np.diff(g) <= 0):
         raise DegenerateModelError(
             "the equilibrium population does not increase strictly across the "

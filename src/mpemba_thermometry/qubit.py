@@ -174,16 +174,24 @@ def evolve_population(params: QubitBathParams, p0: float, t):
     return p if times.ndim else float(p)
 
 
+def _squared(temperature: float) -> float:
+    try:
+        return temperature**2
+    except OverflowError as exc:
+        message = f"temperature {temperature:.6g} squared overflows a float (limit about 1.34e154)"
+        raise OverflowError(message) from exc
+
+
 def dT_gibbs(omega0: float, temperature: float) -> float:
     """Temperature derivative of the equilibrium population (factorized form)."""
     p_eq = gibbs_population_qubit(omega0, temperature)
-    return (omega0 / temperature**2) * p_eq * (1.0 - p_eq)
+    return (omega0 / _squared(temperature)) * p_eq * (1.0 - p_eq)
 
 
 def dT_bose(omega0: float, temperature: float) -> float:
     """Temperature derivative of the bath occupation (factorized form)."""
     n_bar = bose_occupation(omega0, temperature)
-    return (omega0 / temperature**2) * n_bar * (1.0 + n_bar)
+    return (omega0 / _squared(temperature)) * n_bar * (1.0 + n_bar)
 
 
 def _dT_rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:

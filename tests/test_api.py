@@ -109,12 +109,36 @@ def model_imports(module) -> list[str]:
 
 
 def test_protocol_imports_no_model_module():
-    # the protocol reads its model from a probe_at(T) -> ProbePair factory,
-    # so no model's closed forms are reached from it directly
+    # the protocol reads its model from a probe_at(T) -> ProbePair factory
+    # and from closures over one Probe per temperature, so no model's closed
+    # forms are reached from it directly
     from mpemba_thermometry import protocol
 
     models = model_imports(protocol)
     assert not models, f"protocol.py imports model modules: {models}"
+
+
+def test_cli_binds_no_qubit_closed_form():
+    # the command line reaches the qubit's closed forms through the probe
+    # builders of ``instances`` only, so every command reads them one way
+    from mpemba_thermometry import cli
+
+    closed_forms = {
+        "evolve_population",
+        "dT_population",
+        "gibbs_population_qubit",
+        "qfi_qubit_closed_form",
+        "qfi_equilibrium",
+    }
+    named = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name.rsplit(".", 1)[-1])
+    assert not named & closed_forms, f"cli.py names {sorted(named & closed_forms)}"
 
 
 def test_mpemba_imports_no_model_module():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mpemba_thermometry
-from mpemba_thermometry import make_qubit_pair
+from mpemba_thermometry import cli, make_qubit_pair
 from mpemba_thermometry.cli import _csv, _fmt, main
 from mpemba_thermometry.fisher import qfi_equilibrium
 from mpemba_thermometry.protocol import BoundaryMaximumWarning, calibrate_equilibrium, fisher_map
@@ -21,6 +21,7 @@ from mpemba_thermometry.qubit import (
     gibbs_population_qubit,
 )
 
+OVERFLOW = "temperature {} squared overflows a float (limit about 1.34e154)"
 T_STAR_QUBIT = 1.3671541640340499
 T_STAR_LADDER = 0.48787920210350055
 
@@ -325,9 +326,77 @@ class TestProtocolCommand:
                 lines.append(f"{_fmt(temp)},{_fmt(t)},{_fmt(fm.values[i, j])}")
         assert (tmp_path / "fisher_map.csv").read_text() == "\n".join(lines) + "\n"
 
-    def test_requires_qubit_model(self, tmp_path, capsys):
-        assert main(["protocol", "--model", "lambda", "--output", str(tmp_path)]) == 2
-        assert "configuration error" in capsys.readouterr().err
+    def test_ladder_pipeline_reads_the_top_level(self, tmp_path):
+        # the ladder's probes read its top level: every stage runs, reruns
+        # keep their bytes, and the estimate lands within its error bar
+        first, second = tmp_path / "a", tmp_path / "b"
+        for out in (first, second):
+            assert main(["protocol", "--model", "lambda", "--output", str(out)]) == 0
+        assert sorted(path.name for path in first.iterdir()) == sorted(PROTOCOL_FILES)
+        assert (first / "manifest.txt").read_text().splitlines() == [
+            f"step_{step} = ok"
+            for step in ("calibration", "inversion_map", "fisher_map", "estimate")
+        ]
+        for name in PROTOCOL_FILES:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        _, est_rows, _ = read_table(first / "estimate.csv")
+        t_hat, stderr, _, shots = (float(cell) for cell in est_rows[0])
+        assert shots == 10000
+        assert abs(t_hat - 0.5) < 6.0 * stderr
+
+    @pytest.mark.parametrize("model", ["qubit", "lambda"])
+    def test_equilibrium_preparation(self, tmp_path, model):
+        # the thermalized probe's population and Fisher value hold in time
+        noiseless, sampled = tmp_path / "noiseless", tmp_path / "sampled"
+        run = ["protocol", "--model", model, "--config"]
+        cfg = write_config(tmp_path, "preparation = equilibrium\nshots = 0\n")
+        assert main([*run, cfg, "--output", str(noiseless)]) == 0
+        _, rows, _ = read_table(noiseless / "fisher_map.csv")
+        table = numeric(rows)
+        for temp in np.unique(table[:, 0]):
+            fisher = table[table[:, 0] == temp, 2]
+            assert fisher.size == 201 and np.all(fisher == fisher[0]) and fisher[0] > 0
+        cfg = write_config(tmp_path, "preparation = equilibrium\n")
+        assert main([*run, cfg, "--output", str(sampled)]) == 0
+        _, est_rows, _ = read_table(sampled / "estimate.csv")
+        t_hat, stderr, _, _ = (float(cell) for cell in est_rows[0])
+        assert abs(t_hat - 0.5) < 6.0 * stderr
+
+    @pytest.mark.parametrize("model", ["qubit", "lambda"])
+    def test_constant_margin(self, tmp_path, model):
+        cfg = write_config(tmp_path, f"model = {model}\ndelta_policy = 0.01\n")
+        assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "manifest.txt").read_text().splitlines()[-1] == "step_estimate = ok"
+
+    @pytest.mark.parametrize(
+        "step, function",
+        [
+            ("inversion_map", "dynamical_calibration"),
+            ("fisher_map", "fisher_map"),
+            ("estimate", "mle_temperature"),
+        ],
+    )
+    def test_later_step_failure_keeps_earlier_artifacts(
+        self, tmp_path, capsys, monkeypatch, step, function
+    ):
+        def fails(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(cli, function, fails)
+        cfg = write_config(tmp_path, "shots = 0\n")
+        out = tmp_path / "out"
+        assert main(["protocol", "--config", cfg, "--output", str(out)]) == 3
+        steps = ["calibration", "inversion_map", "fisher_map", "estimate"]
+        failed = steps.index(step)
+        assert (out / "manifest.txt").read_text().splitlines() == (
+            [f"step_{name} = ok" for name in steps[:failed]]
+            + [f"step_{step} = failed: injected"]
+            + [f"step_{name} = skipped" for name in steps[failed + 1 :]]
+        )
+        assert f"protocol step {step} failed: injected" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [f"{name}.csv" for name in steps[:failed]] + ["manifest.txt"]
+        )
 
 
 class TestExitCodes:
@@ -415,14 +484,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, f"model = {model}\ntemperature = 1e200\n")
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--output", str(out)]) == 3
-        assert "numerical failure: (34, 'Numerical result out of range')" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"numerical failure: {OVERFLOW.format('1e+200')}" in err
         assert not out.exists()
 
-    def test_overflowing_calibration_fails_its_step(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "calib_t_max = 1e300\n")
+    @pytest.mark.parametrize("model", ["qubit", "lambda"])
+    def test_overflowing_calibration_fails_its_step(self, tmp_path, capsys, model):
+        cfg = write_config(tmp_path, f"model = {model}\ncalib_t_max = 1e300\n")
         assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 3
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert manifest[0] == "step_calibration = failed: (34, 'Numerical result out of range')"
+        # the first knot past the limit is the second of linspace(0.3, 1e300, 9)
+        assert manifest[0] == f"step_calibration = failed: {OVERFLOW.format('1.25e+299')}"
         assert manifest[1:] == [
             "step_inversion_map = skipped",
             "step_fisher_map = skipped",

@@ -13,6 +13,7 @@ from mpemba_thermometry import (
     QubitBathParams,
     detect_inversion,
     effective_rate,
+    evolve_population,
     gibbs_population_qubit,
     make_lambda_pair,
     make_qubit_pair,
@@ -20,7 +21,10 @@ from mpemba_thermometry import (
     thermal_distance,
     theorem_hierarchy_check,
 )
+from mpemba_thermometry.fisher import binomial_fisher, qfi_equilibrium, qfi_qubit_closed_form
+from mpemba_thermometry.instances import make_lambda_probe, make_qubit_probe, measured_level
 from mpemba_thermometry.mpemba import TrajectoryOrderingError, distance_series
+from mpemba_thermometry.spectral import dT_populations_modal
 
 from conftest import (
     CANONICAL,
@@ -99,6 +103,49 @@ class TestPairOrdering:
         with pytest.raises(ValueError, match=r"starts nearer equilibrium .* in scalar_abs"):
             make_qubit_pair(canonical_params, P0_COLD, P0_HOT)
         assert make_qubit_pair(canonical_params, P0_HOT, P0_COLD).norm_kind == "scalar_abs"
+
+
+class TestProbe:
+    def test_qubit_probe_binds_the_closed_forms(self, canonical_params):
+        times = np.linspace(0.0, 8.0, 41)
+        hot = make_qubit_probe(canonical_params, P0_HOT)
+        assert np.array_equal(
+            hot.population(times), evolve_population(canonical_params, P0_HOT, times)
+        )
+        assert np.array_equal(
+            hot.fisher(times), qfi_qubit_closed_form(canonical_params, P0_HOT, times)
+        )
+        # the thermalized probe holds the equilibrium values at every time
+        thermal = make_qubit_probe(canonical_params, None)
+        p_eq = gibbs_population_qubit(1.0, 0.5)
+        assert thermal.population(2.0) == p_eq and isinstance(thermal.population(2.0), float)
+        assert np.array_equal(thermal.population(times), np.full(times.shape, p_eq))
+        f_eq = qfi_equilibrium(1.0, 0.5)
+        assert np.array_equal(thermal.fisher(times), np.full(times.shape, f_eq))
+
+    def test_ladder_probe_reads_the_top_level(self, ladder_matrix, ladder_pair):
+        times = ladder_pair.default_time_grid(50)
+        hot = make_lambda_probe(ladder_matrix, LADDER_HOT)
+        p = ladder_pair.hot_population(times)[:, -1]
+        dp = dT_populations_modal(
+            ladder_pair.decomposition, ladder_pair.amps_hot, ladder_pair.derivatives, times
+        )[:, -1]
+        assert np.array_equal(hot.population(times), p)
+        assert hot.population(1.5) == ladder_pair.hot_population(1.5)[-1]
+        assert np.array_equal(hot.fisher(times), binomial_fisher(p, dp))
+        assert hot.fisher(times)[1:] == pytest.approx(dp[1:] ** 2 / (p[1:] * (1 - p[1:])))
+        thermal = make_lambda_probe(ladder_matrix, None)
+        top, d_top = ladder_pair.equilibrium[-1], ladder_pair.derivatives.d_stationary[-1]
+        assert np.array_equal(thermal.population(times), np.full(times.shape, top))
+        assert thermal.fisher(3.0) == binomial_fisher(top, d_top)
+
+    @pytest.mark.parametrize("state", [0.3, [0.2, 0.3, 0.5]])
+    def test_measured_level(self, state):
+        # a scalar state is its own level; a vector, and each row of a stack
+        # of vectors, reads its top level
+        level = np.ravel(state)[-1]
+        assert measured_level(state) == level
+        assert np.array_equal(measured_level(np.array([state, state]), state), [level, level])
 
 
 class TestThermalDistance:
@@ -241,6 +288,19 @@ class TestDetectInversion:
             assert grid is times
             assert bisection and all(np.ndim(t) == 0 for t in bisection)
             assert all(times[first - 1] <= t <= times[first] for t in bisection)
+
+    def test_tie_at_the_previous_grid_point_keeps_it(self):
+        # D_hot = |2 - 2t| meets D_cold = 1 exactly at t = 0.5, the grid point
+        # before the first strict inversion: no bracket to bisect, so the
+        # crossing is that grid point
+        record = detect_inversion(
+            lambda t: 2.0 - 2.0 * np.asarray(t),
+            lambda t: np.ones_like(np.asarray(t)),
+            0.0,
+            [0.0, 0.5, 1.0],
+        )
+        assert record.t_star == 0.5
+        assert record.persistent is True
 
     @given(delta=st.floats(0.0, 0.01))
     @settings(max_examples=30, deadline=None)
