@@ -68,10 +68,12 @@ CELLS_FISHER_MAP = 2**33
 CELLS_ESTIMATE = 2**34
 # temperatures in the likelihood scan that brackets the maximum
 _SCAN_POINTS = 64
+# the likelihood clamps model populations to [_P_CLAMP, 1 - _P_CLAMP]
+_P_CLAMP = 1e-12
 
 
 class DegenerateModelError(RuntimeError):
-    """The model populations do not vary over the search interval."""
+    """The model populations do not vary, or are not finite, over the search interval."""
 
 
 class BoundaryMaximumWarning(RuntimeWarning):
@@ -471,6 +473,51 @@ def _golden_section_maximize(
     return 0.5 * (a + b)
 
 
+def _bracketed_root(
+    g: Callable[[float], float], a: float, b: float, ga: float, gb: float
+) -> float:
+    """A root of ``g`` on [a, b], where ``ga = g(a)`` and ``gb = g(b)`` differ in sign or one is 0.
+
+    Brent's zero (Brent 1973, ch. 4): inverse quadratic or secant steps while
+    they stay well inside the bracket and shrink it fast enough, bisection
+    otherwise.  It stops once the bracket is 2·eps·|b| wide, the last bits of b.
+    """
+    eps = np.finfo(float).eps
+    c, gc = a, ga
+    d = e = b - a
+    while True:
+        if abs(gc) < abs(gb):
+            # b is the best iterate; c keeps the sign change with it
+            a, b, c = b, c, b
+            ga, gb, gc = gb, gc, gb
+        tol = 2.0 * eps * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or gb == 0.0:
+            return b
+        if abs(e) < tol or abs(ga) <= abs(gb):
+            d = e = m
+        else:
+            s = gb / ga
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            s, e = e, d
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * s * q):
+                d = p / q
+            else:
+                d = e = m
+        a, ga = b, gb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        gb = g(b)
+        if (gb > 0) == (gc > 0):
+            c, gc = a, ga
+            d = e = b - a
+
+
 def mle_temperature(
     observations: Sequence[ShotRecord],
     population_fn: Callable[[float, float], float],
@@ -481,14 +528,21 @@ def mle_temperature(
 
     ``population_fn(time, T)`` must model every supplied record (single
     preparation per call; estimate heterogeneous record sets with separate
-    closures).  A 64-point scan brackets the maximum and golden-section search
-    refines it on log-likelihood values.  Those values are flat to rounding
-    within about 1e-7 relative of the maximum, so the estimate's last digits
-    (1e-8 to 1e-7 relative) are search noise, not a limit of the estimator.
-    Boundary maxima and multimodal scans are flagged on the result and warned
-    about.  The error bar comes from the
-    total per-shot Fisher information ``fisher_fn(time, T)`` of the records at
-    the estimate.
+    closures).  A 64-point scan brackets the maximum between the neighbours of
+    its best temperature.  For one record of k successes in n shots, with k/n
+    inside the likelihood clamp (1e-12, 1 - 1e-12), the likelihood is largest
+    exactly where p(T) = k/n, so a root of p(T) - k/n is a global maximizer.
+    When the scan's model values at the bracket ends straddle k/n (or one
+    equals it), Brent's root finder refines the estimate to the last bits in
+    a few model calls; a model value that is not finite there raises
+    :class:`DegenerateModelError`.  Every other case (k = 0, k = n, no
+    crossing on the bracket as at a boundary maximum, two or more records)
+    is refined by golden-section search on log-likelihood values, which are
+    flat to rounding within about 1e-7 relative of the maximum, so its last
+    digits (1e-8 to 1e-7 relative) are search noise.  Boundary maxima and
+    multimodal scans are flagged on the result and warned about.  The error
+    bar comes from the total per-shot Fisher information
+    ``fisher_fn(time, T)`` of the records at the estimate.
     """
     records = list(observations)
     if not records:
@@ -501,7 +555,7 @@ def mle_temperature(
         # ``populations`` holds the model value of each record, in record order
         total = 0.0
         for rec, value in zip(records, populations):
-            p = min(max(value, 1e-12), 1.0 - 1e-12)
+            p = min(max(value, _P_CLAMP), 1.0 - _P_CLAMP)
             total += rec.successes * math.log(p) + (rec.shots - rec.successes) * math.log(
                 1.0 - p
             )
@@ -534,11 +588,28 @@ def mle_temperature(
             stacklevel=2,
         )
     best = int(np.argmax(scores))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, _SCAN_POINTS - 1)])
-    # below about 1e-7 relative the compared values are flat to rounding, so
-    # the 1e-10 stopping width ends the search inside that flat region
-    t_hat = _golden_section_maximize(log_likelihood, lo, hi, 1e-10)
+    i_lo, i_hi = max(best - 1, 0), min(best + 1, _SCAN_POINTS - 1)
+    lo, hi = float(grid[i_lo]), float(grid[i_hi])
+    rec = records[0]
+    target = rec.successes / rec.shots if len(records) == 1 and rec.shots > 0 else math.nan
+    # the residuals p - k/n at the bracket ends are scan values: no model call
+    g_lo, g_hi = float(columns[0, i_lo]) - target, float(columns[0, i_hi]) - target
+    if _P_CLAMP < target < 1.0 - _P_CLAMP and g_lo * g_hi <= 0.0:
+
+        def residual(temp: float) -> float:
+            value = population_fn(rec.time, temp)
+            if not math.isfinite(value):
+                raise DegenerateModelError(
+                    f"model population {value} at temperature {temp!r} is not finite; "
+                    "the likelihood maximum cannot be refined"
+                )
+            return value - target
+
+        t_hat = _bracketed_root(residual, lo, hi, g_lo, g_hi)
+    else:
+        # below about 1e-7 relative the compared values are flat to rounding, so
+        # the 1e-10 stopping width ends the search inside that flat region
+        t_hat = _golden_section_maximize(log_likelihood, lo, hi, 1e-10)
 
     span = t_hi - t_lo
     boundary = (t_hat - t_lo) < 1e-6 * span or (t_hi - t_hat) < 1e-6 * span

@@ -157,8 +157,12 @@ def _check_times(t) -> np.ndarray:
     if times.ndim > 1:
         raise ValueError(f"t must be a float or a 1-D array, got shape {times.shape}")
     if times.size:
-        # min and max propagate NaN, so one pair of reductions sees every bad entry
-        low, high = float(times.min()), float(times.max())
+        # min and max propagate NaN, so one pair of reductions sees every bad
+        # entry; a float is its own min and max, without the reductions' cost
+        if times.ndim:
+            low, high = float(times.min()), float(times.max())
+        else:
+            low = high = float(times)
         if low < 0:
             raise ValueError(f"t must be non-negative, got {low}")
         if not high < math.inf:

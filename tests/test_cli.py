@@ -20,10 +20,16 @@ from mpemba_thermometry.qubit import (
     evolve_population,
     gibbs_population_qubit,
 )
+from mpemba_thermometry.spectral import gibbs_vector
 
 OVERFLOW = "temperature {} squared overflows a float (limit about 1.34e154)"
 T_STAR_QUBIT = 1.3671541640340499
 T_STAR_LADDER = 0.48787920210350055
+# the default configuration's measured equilibrium population of each model
+EQUILIBRIUM = {
+    "qubit": lambda T: gibbs_population_qubit(1.0, T),
+    "lambda": lambda T: gibbs_vector(np.array([0.0, 0.0, 1.0]), T)[-1],
+}
 
 
 def read_table(path):
@@ -196,8 +202,9 @@ PROTOCOL_FILES = (
 
 
 class TestProtocolCommand:
-    def test_noiseless_pipeline(self, tmp_path):
-        cfg = write_config(tmp_path, "shots = 0\nt_steps = 81\nt_max = 8.0\n")
+    @pytest.mark.parametrize("model", ["qubit", "lambda"])
+    def test_noiseless_pipeline(self, tmp_path, model):
+        cfg = write_config(tmp_path, f"model = {model}\nshots = 0\nt_steps = 81\nt_max = 8.0\n")
         assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 0
         for name in PROTOCOL_FILES:
             assert (tmp_path / name).exists()
@@ -210,16 +217,18 @@ class TestProtocolCommand:
         ]
         _, rows, _ = read_table(tmp_path / "calibration.csv")
         data = numeric(rows)
-        exact = [gibbs_population_qubit(1.0, t) for t in data[:, 0]]
+        exact = [EQUILIBRIUM[model](t) for t in data[:, 0]]
         assert np.allclose(data[:, 1], exact, rtol=0, atol=1e-15)
-        # every calibration temperature shows a finite crossing without noise
-        _, inv_rows, _ = read_table(tmp_path / "inversion_map.csv")
-        crossings = [row[1] for row in inv_rows]
-        assert all(cell != "" for cell in crossings)
-        assert all(0.0 < float(cell) <= 8.0 for cell in crossings)
+        if model == "qubit":
+            # every calibration temperature shows a finite crossing without noise
+            _, inv_rows, _ = read_table(tmp_path / "inversion_map.csv")
+            crossings = [row[1] for row in inv_rows]
+            assert all(cell != "" for cell in crossings)
+            assert all(0.0 < float(cell) <= 8.0 for cell in crossings)
         _, est_rows, _ = read_table(tmp_path / "estimate.csv")
         t_hat, stderr, _, shots = (float(cell) for cell in est_rows[0])
-        assert t_hat == pytest.approx(0.5, abs=1e-5)
+        # one noiseless record: the estimate is the root of p(T) = p_true
+        assert abs(t_hat - 0.5) <= 1e-14
         assert 0.1 < stderr < 2.0
         assert shots == 1
 

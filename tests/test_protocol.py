@@ -32,6 +32,7 @@ from mpemba_thermometry.protocol import (
     sampling_stream,
 )
 from mpemba_thermometry.qubit import evolve_population, gibbs_population_qubit
+from mpemba_thermometry.spectral import gibbs_vector
 
 
 def eq_model(t: float, temp: float) -> float:
@@ -72,6 +73,53 @@ def recording_sampler(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(protocol, "_sampler", recording)
     return drawn
+
+
+def recording_root(monkeypatch, brackets: list | None = None) -> list[float]:
+    """Record every temperature the root finder evaluates (and, if given, each bracket)."""
+    points: list[float] = []
+    real = protocol._bracketed_root
+
+    def recording(g, a, b, ga, gb):
+        if brackets is not None:
+            brackets.append((a, b))
+
+        def recorded(x):
+            points.append(x)
+            return g(x)
+
+        return real(recorded, a, b, ga, gb)
+
+    monkeypatch.setattr(protocol, "_bracketed_root", recording)
+    return points
+
+
+def refuse(name: str):
+    def refused(*args):
+        raise AssertionError(f"the {name} ran")
+
+    return refused
+
+
+def bisection_root(g, a: float, b: float, steps: int = 200) -> float:
+    """The sign change of ``g`` on [a, b], halved ``steps`` times: the independent reference."""
+    ga = g(a)
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        if (g(mid) > 0) == (ga > 0):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+P_HALF = gibbs_population_qubit(1.0, 0.5)
+LADDER_ENERGIES = np.array([0.0, 0.0, 1.0])
+# the equilibrium population each model's probe reads, as ``population_fn(t, T)``
+EQUILIBRIA = {
+    "qubit": lambda t, T: gibbs_population_qubit(1.0, T),
+    "ladder": lambda t, T: float(gibbs_vector(LADDER_ENERGIES, T)[-1]),
+}
 
 
 def per_row_slopes(knots: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -595,10 +643,8 @@ class TestMleTemperature:
             seed=0,
         )
         res = mle_temperature([rec], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
-        # the golden-section search compares log-likelihood values, flat to
-        # rounding within ~1e-7 relative of the optimum, so its last digits
-        # are search noise; the exact root of p(T) = k/n has no such residual
-        assert abs(res.t_hat - 0.5) < 5e-8
+        # one record: the estimate is the root of p(T) = k/n, to the last bits
+        assert abs(res.t_hat - 0.5) <= 1e-14 * 0.5
         assert res.stderr == pytest.approx(qfi_equilibrium(1.0, 0.5) ** -0.5, rel=1e-6)
         assert not res.boundary and not res.multimodal
 
@@ -648,35 +694,98 @@ class TestMleTemperature:
         assert res.multimodal
 
     def test_grid_scan_evaluates_the_model_once_per_grid_point(self, monkeypatch):
-        # one record: each likelihood evaluation is one model call, so the
-        # calls are the 64-point grid once, the golden-section points, and
-        # the final evaluation at t_hat
+        # one interior record: the calls are the 64-point grid once, the root
+        # finder's points, and the final evaluation at t_hat; the
+        # golden-section search never runs
         calls = []
 
         def model(t, temp):
             calls.append(temp)
             return eq_model(t, temp)
 
-        golden = []
-        real = protocol._golden_section_maximize
-
-        def recording(f, lo, hi, xtol):
-            def g(x):
-                golden.append(x)
-                return f(x)
-
-            return real(g, lo, hi, xtol)
-
-        monkeypatch.setattr(protocol, "_golden_section_maximize", recording)
+        roots = recording_root(monkeypatch)
+        monkeypatch.setattr(protocol, "_golden_section_maximize", refuse("golden search"))
         rec = ShotRecord(
             shots=1000, successes=120.0, time=0.0, preparation="equilibrium", seed=0
         )
         res = mle_temperature([rec], model, (0.2, 1.0), fisher_fn=eq_fisher)
-        assert golden
+        # interpolation steps, not the ~45 halvings of the bracket to the last bits
+        assert 0 < len(roots) <= 8
         assert calls[:64] == np.linspace(0.2, 1.0, 64).tolist()
-        assert calls[64:-1] == golden
+        assert calls[64:-1] == roots
         assert calls[-1] == res.t_hat
-        assert len(calls) == 64 + len(golden) + 1
+        assert len(calls) == 64 + len(roots) + 1
+
+    @pytest.mark.parametrize(
+        "records, interval",
+        [
+            # k = 0 and k = n: the maximum is where p is smallest or largest
+            ([ShotRecord(1000, 0.0, 0.0, "equilibrium", 0)], (0.2, 1.0)),
+            ([ShotRecord(1000, 1000.0, 0.0, "equilibrium", 0)], (0.2, 1.0)),
+            # p(T) > k/n over the whole interval: no root on the bracket
+            ([ShotRecord(1, P_HALF, 0.0, "equilibrium", 0)], (0.6, 0.9)),
+            ([sample_population(P_HALF, 10_000, 17, c) for c in (0, 1)], (0.2, 1.0)),
+        ],
+        ids=["no_successes", "all_successes", "no_sign_change", "two_records"],
+    )
+    def test_golden_search_refines_what_has_no_root(self, monkeypatch, records, interval):
+        golden = []
+        real = protocol._golden_section_maximize
+
+        def recording(f, lo, hi, xtol):
+            golden.append(lo)
+            return real(f, lo, hi, xtol)
+
+        monkeypatch.setattr(protocol, "_golden_section_maximize", recording)
+        monkeypatch.setattr(protocol, "_bracketed_root", refuse("root finder"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMaximumWarning)
+            mle_temperature(records, eq_model, interval, fisher_fn=eq_fisher)
+        assert len(golden) == 1
+
+    @given(
+        model=st.sampled_from(["qubit", "ladder"]),
+        temp=st.floats(0.3, 2.0),
+        seed=st.integers(0, 2**32),
+        cell=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_record_estimate_is_the_root_of_p_equals_k_over_n(self, model, temp, seed, cell):
+        population = EQUILIBRIA[model]
+        rec = sample_population(population(0.0, temp), 10_000, seed, cell)
+        target = rec.successes / rec.shots
+        interval = (0.5 * temp, 1.5 * temp)
+        brackets: list[tuple[float, float]] = []
+        with pytest.MonkeyPatch.context() as patch:
+            roots = recording_root(patch, brackets)
+            res = mle_temperature([rec], population, interval, fisher_fn=lambda t, T: 1.0)
+        assert roots and len(brackets) == 1
+        reference = bisection_root(lambda T: population(0.0, T) - target, *brackets[0])
+        assert abs(res.t_hat - reference) <= 1e-14 * reference
+        grid = np.linspace(*interval, 64)
+        p = np.clip([population(0.0, T) for T in grid.tolist()], 1e-12, 1.0 - 1e-12)
+        scores = rec.successes * np.log(p) + (rec.shots - rec.successes) * np.log1p(-p)
+        assert res.log_likelihood >= scores.max() - 1e-9 * abs(scores.max())
+        assert not res.boundary and not res.multimodal
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_model_in_the_root_raises(self, bad):
+        # finite on every scan point, not finite between them: the first root
+        # step, inside the bracket, must raise rather than steer the search
+        grid = set(np.linspace(0.2, 1.0, 64).tolist())
+        calls = []
+
+        def model(t, temp):
+            calls.append(temp)
+            return eq_model(t, temp) if temp in grid else bad
+
+        rec = ShotRecord(
+            shots=1000, successes=120.0, time=0.0, preparation="equilibrium", seed=0
+        )
+        with pytest.raises(DegenerateModelError, match="not finite") as info:
+            mle_temperature([rec], model, (0.2, 1.0), fisher_fn=eq_fisher)
+        assert len(calls) == 65
+        assert repr(calls[-1]) in str(info.value)
 
     def test_flat_model_is_unidentifiable(self):
         rec = ShotRecord(

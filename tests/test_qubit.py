@@ -225,3 +225,14 @@ class TestTimeArrays:
             for t in (bad, np.array([0.0, 1.0, bad])):
                 with pytest.raises(ValueError, match="finite"):
                     fn(canonical_params, P0_HOT, t)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_float_time_rejected_as_a_one_element_array(self, canonical_params, bad):
+        # a float takes the 0-d shortcut past min/max: the same check, the same message
+        for fn in (evolve_population, dT_population):
+            messages = []
+            for t in (bad, np.array([bad])):
+                with pytest.raises(ValueError) as info:
+                    fn(canonical_params, P0_HOT, t)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
