@@ -3,7 +3,10 @@
 Every run is a pure function of its configuration — outputs carry no
 timestamps or environment state, so identical invocations produce
 byte-identical files.  Numbers are written with 17 significant digits, enough
-to round-trip float64 exactly.
+to round-trip float64 exactly.  Float tables are written from blocks of
+columns (see :func:`_csv`), so each distinct value is formatted once: a
+column that is one value on every row of its block, or an array that several
+blocks share, is not formatted again for each row.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -77,17 +81,42 @@ def _write_text(path: Path, content: str) -> None:
 
 
 def _csv(header: list[str], rows, trailer: list[str] | None = None) -> str:
-    """CSV text from a list of cell lists, or from a 2-D float array.
+    """CSV text from blocks of columns, or from lists of cells.
 
-    A float array goes through one ``%.17g`` row template, which writes the
-    same bytes as :func:`_fmt` does cell by cell.
+    Each item of ``rows`` is a block or a list of cells.  A block is a tuple
+    of columns, each a 1-D array or a float that is the same on every row of
+    the block.  Each distinct value is formatted once: a float column is
+    literal text in the block's row template, and an array that several
+    blocks pass as the same object is formatted to strings once and filled in
+    through ``%s``.  Every other array fills a ``%.17g`` slot.  The bytes are
+    those :func:`_fmt` writes cell by cell, as it does for a list of cells.
+    A block with no array column, or with array columns of unequal length,
+    raises ``ValueError``.
     """
+    blocks = [block for block in rows if isinstance(block, tuple)]
+    arrays = Counter(id(c) for block in blocks for c in block if isinstance(c, np.ndarray))
+    shared: dict[int, list[str]] = {}
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
-        template = ",".join(["%.17g"] * rows.shape[1])
-        lines.extend(template % tuple(row) for row in rows.tolist())
-    else:
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    for block in rows:
+        if not isinstance(block, tuple):
+            lines.append(",".join(_fmt(cell) for cell in block))
+            continue
+        slots, columns = [], []
+        for column in block:
+            if not isinstance(column, np.ndarray):
+                slots.append(_fmt(column))  # a float's text holds no "%"
+            elif arrays[id(column)] > 1:
+                if id(column) not in shared:
+                    shared[id(column)] = ["%.17g" % v for v in column.tolist()]
+                slots.append("%s")
+                columns.append(shared[id(column)])
+            else:
+                slots.append("%.17g")
+                columns.append(column.tolist())
+        if not columns:
+            raise ValueError("a table block needs at least one array column")
+        template = ",".join(slots)
+        lines.extend(template % row for row in zip(*columns, strict=True))
     if trailer:
         lines.extend(f"# {entry}" for entry in trailer)
     return "\n".join(lines) + "\n"
@@ -134,7 +163,6 @@ def cmd_relax(config: RunConfig, out_dir: Path) -> int:
     d_hot = distance_series(hot, eq, record.norm_kind)
     d_cold = distance_series(cold, eq, record.norm_kind)
     hot, cold, eq = (measured_level(states, eq) for states in (hot, cold, eq))
-    rows = np.column_stack([times, hot, cold, np.full(times.shape, eq), d_hot, d_cold])
     trailer = [
         f"inversion_detected = {'true' if record.detected else 'false'}",
         f"t_star = {_fmt(record.t_star) if record.detected else 'none'}",
@@ -143,7 +171,11 @@ def cmd_relax(config: RunConfig, out_dir: Path) -> int:
         f"persistent = "
         + ("none" if record.persistent is None else ("true" if record.persistent else "false")),
     ]
-    content = _csv(["t", "p_hot", "p_cold", "p_eq", "d_hot", "d_cold"], rows, trailer)
+    content = _csv(
+        ["t", "p_hot", "p_cold", "p_eq", "d_hot", "d_cold"],
+        [(times, hot, cold, float(eq), d_hot, d_cold)],
+        trailer,
+    )
     _write_text(out_dir / "relax.csv", content)
     return 0
 
@@ -156,10 +188,10 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
         f_eq = pair.equilibrium_fisher()
         f_hot = pair.hot_fisher(times)
         f_cold = pair.cold_fisher(times)
-        rows = np.column_stack(
-            [times, f_hot, f_cold, np.full(times.shape, f_eq), qfi_gain(f_hot, f_eq)]
+        content = _csv(
+            ["t", "f_hot", "f_cold", "f_eq", "gain_log10"],
+            [(times, f_hot, f_cold, float(f_eq), qfi_gain(f_hot, f_eq))],
         )
-        content = _csv(["t", "f_hot", "f_cold", "f_eq", "gain_log10"], rows)
         _write_text(out_dir / "qfi.csv", content)
         return 0
     if config.model != "qubit":
@@ -170,9 +202,8 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
     if not any(abs(p - p_eq) < 1e-15 for p in preparations):
         preparations.append(p_eq)  # the equilibrium-prepared reference row
     preparations.sort()
-    blocks = [(np.full(times.shape, p0), times, probe(p0).fisher(times)) for p0 in preparations]
-    rows = np.vstack([np.column_stack(block) for block in blocks])
-    content = _csv(["p0", "t", "f"], rows)
+    blocks = [(float(p0), times, probe(p0).fisher(times)) for p0 in preparations]
+    content = _csv(["p0", "t", "f"], blocks)
     _write_text(out_dir / "qfi.csv", content)
     return 0
 
@@ -210,7 +241,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         curve = calibrate_equilibrium(probe_at, temps, config.shots, config.seed)
         _write_text(
             out_dir / "calibration.csv",
-            _csv(["temperature", "p_fit"], np.column_stack([curve.knots, curve.values])),
+            _csv(["temperature", "p_fit"], [(curve.knots, curve.values)]),
         )
         manifest.append("step_calibration = ok")
 
@@ -223,10 +254,11 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 
         fi_map = fisher_map(population_fn, times, temps, shots=config.shots, seed=config.seed)
         # temperature-major rows: every time of the first temperature, then the next
-        temps_col = np.repeat(fi_map.temperatures, fi_map.times.size)
-        times_col = np.tile(fi_map.times, fi_map.temperatures.size)
-        table = np.column_stack([temps_col, times_col, fi_map.values.T.ravel()])
-        _write_text(out_dir / "fisher_map.csv", _csv(["temperature", "time", "fisher"], table))
+        blocks = [
+            (temp, fi_map.times, fi_map.values[:, j])
+            for j, temp in enumerate(fi_map.temperatures.tolist())
+        ]
+        _write_text(out_dir / "fisher_map.csv", _csv(["temperature", "time", "fisher"], blocks))
         manifest.append("step_fisher_map = ok")
 
         p_eq_true = _build_probe(config, False, config.temperature).population(0.0)

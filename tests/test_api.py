@@ -141,6 +141,24 @@ def test_cli_binds_no_qubit_closed_form():
     assert not named & closed_forms, f"cli.py names {sorted(named & closed_forms)}"
 
 
+def test_cli_builds_no_float_table_by_hand():
+    # every float table goes through the block writer ``_csv``, which formats
+    # a constant or shared column once; stacking or repeating columns first
+    # would format the same value again on every row
+    from mpemba_thermometry import cli
+
+    stackers = {"column_stack", "vstack", "full", "repeat", "tile"}
+    called = {
+        node.func.attr
+        for node in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    }
+    assert not called & stackers, f"cli.py calls np.{sorted(called & stackers)}"
+
+
 def test_mpemba_imports_no_model_module():
     # detection and the gain bookkeeping work on callables and values, so the
     # qubit's exact crossing time lives with the tests that check against it

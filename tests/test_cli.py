@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import mpemba_thermometry
-from mpemba_thermometry import cli, make_qubit_pair
+from mpemba_thermometry import cli, make_lambda_pair, make_qubit_pair
 from mpemba_thermometry.cli import _csv, _fmt, main
 from mpemba_thermometry.fisher import qfi_equilibrium
+from mpemba_thermometry.instances import make_qubit_probe, measured_level
+from mpemba_thermometry.mpemba import distance_series, qfi_gain
 from mpemba_thermometry.protocol import BoundaryMaximumWarning, calibrate_equilibrium, fisher_map
 from mpemba_thermometry.qubit import (
     ColdLimitWarning,
@@ -20,7 +22,7 @@ from mpemba_thermometry.qubit import (
     evolve_population,
     gibbs_population_qubit,
 )
-from mpemba_thermometry.spectral import gibbs_vector
+from mpemba_thermometry.spectral import build_lambda_rate_matrix, gibbs_vector
 
 OVERFLOW = "temperature {} squared overflows a float (limit about 1.34e154)"
 T_STAR_QUBIT = 1.3671541640340499
@@ -50,6 +52,23 @@ def read_table(path):
 
 def numeric(rows):
     return np.array([[float(cell) for cell in row] for row in rows])
+
+
+def cell_text(header, rows, trailer=()):
+    """The CSV text of ``rows`` written cell by cell with ``_fmt``."""
+    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
+    lines.extend(f"# {entry}" for entry in trailer)
+    return "\n".join(lines) + "\n"
+
+
+def default_pair(model):
+    """The default configuration's probe pair at T = 0.5."""
+    if model == "qubit":
+        return make_qubit_pair(QubitBathParams(1.0, 1.0, 0.5, 1.0), 0.9, 0.5)
+    ladder = build_lambda_rate_matrix(0.0, 0.0, 1.0, 1.0, 1.0, 0.5)
+    return make_lambda_pair(
+        ladder, np.array([0.2, 0.2, 0.6]), np.array([0.6, 0.3, 0.1]), norm_kind="euclidean"
+    )
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -101,6 +120,28 @@ class TestRelaxCommand:
         assert trailer["inversion_detected"] == "false"
         assert trailer["t_star"] == "none"
 
+    @pytest.mark.parametrize("model", ["qubit", "lambda"])
+    def test_table_equals_cell_by_cell_text(self, tmp_path, model):
+        # p_eq is one value on every row: the writer formats it once
+        cfg = write_config(tmp_path, "t_steps = 41\nt_max = 6.0\n")
+        assert main(["relax", "--config", cfg, "--model", model, "--output", str(tmp_path)]) == 0
+        pair = default_pair(model)
+        times = np.linspace(0.0, 6.0, 41)
+        record = pair.detect(times=times)
+        hot, cold, eq = pair.hot_population(times), pair.cold_population(times), pair.equilibrium
+        d_hot, d_cold = (distance_series(states, eq, record.norm_kind) for states in (hot, cold))
+        hot, cold, eq = (measured_level(states, eq) for states in (hot, cold, eq))
+        rows = zip(times, hot, cold, [eq] * times.size, d_hot, d_cold)
+        trailer = [
+            "inversion_detected = true",
+            f"t_star = {_fmt(record.t_star)}",
+            "delta_tol = 0",
+            f"norm_kind = {record.norm_kind}",
+            "persistent = true",
+        ]
+        header = ["t", "p_hot", "p_cold", "p_eq", "d_hot", "d_cold"]
+        assert (tmp_path / "relax.csv").read_text() == cell_text(header, rows, trailer)
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["relax", "--output", str(a)]) == 0
@@ -121,6 +162,34 @@ class TestQfiCommand:
         assert np.allclose(
             data[1:, 4], np.log10(data[1:, 1] / f_eq), rtol=1e-12, atol=1e-13
         )
+
+    @pytest.mark.parametrize("model", ["qubit", "lambda"])
+    def test_trajectory_table_equals_cell_by_cell_text(self, tmp_path, model):
+        # f_eq is one value on every row: the writer formats it once
+        cfg = write_config(tmp_path, "t_steps = 41\nt_max = 6.0\n")
+        assert main(["qfi", "--config", cfg, "--model", model, "--output", str(tmp_path)]) == 0
+        pair = default_pair(model)
+        times = np.linspace(0.0, 6.0, 41)
+        f_eq = pair.equilibrium_fisher()
+        f_hot, f_cold = pair.hot_fisher(times), pair.cold_fisher(times)
+        rows = zip(times, f_hot, f_cold, [f_eq] * times.size, qfi_gain(f_hot, f_eq))
+        header = ["t", "f_hot", "f_cold", "f_eq", "gain_log10"]
+        assert (tmp_path / "qfi.csv").read_text() == cell_text(header, rows)
+
+    def test_surface_table_equals_cell_by_cell_text(self, tmp_path):
+        # each block repeats its p0 on every row and shares one time grid
+        cfg = write_config(tmp_path, "qfi_mode = surface\np0_steps = 4\nt_steps = 11\n")
+        assert main(["qfi", "--config", cfg, "--output", str(tmp_path)]) == 0
+        params = QubitBathParams(1.0, 1.0, 0.5, 1.0)
+        times = np.linspace(0.0, 10.0, 11)
+        p_eq = make_qubit_probe(params, None).population(0.0)
+        preparations = sorted([*np.linspace(0.05, 0.95, 4), p_eq])
+        rows = [
+            (p0, t, f)
+            for p0 in preparations
+            for t, f in zip(times, make_qubit_probe(params, p0).fisher(times))
+        ]
+        assert (tmp_path / "qfi.csv").read_text() == cell_text(["p0", "t", "f"], rows)
 
     def test_surface_mode_includes_equilibrium_row(self, tmp_path):
         cfg = write_config(tmp_path, "qfi_mode = surface\np0_steps = 4\nt_steps = 5\n")
@@ -596,11 +665,37 @@ class TestExitCodes:
 
 
 def test_float_table_writes_the_bytes_of_fmt():
-    values = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22, math.inf, -math.inf, math.nan]
-    table = np.array([values, values[::-1]])
-    expected = "v\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table.tolist())
-    assert _csv(["v"], table) == expected
-    assert _csv(["v"], table.tolist()) == expected
+    values = np.array([0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22, math.inf, -math.inf, math.nan])
+    grid = np.stack([values, values[::-1]], axis=1)  # its columns are strided views
+    shared = values[::-1].copy()
+    blocks = [
+        (-0.0, values, shared),
+        (shared, 0.0, grid[:, 1]),
+        (math.inf, shared, math.nan),
+        (grid[:, 0], 5e-324, values),
+    ]
+    cells = [
+        list(row)
+        for block in blocks
+        for row in zip(*(c if isinstance(c, np.ndarray) else [c] * values.size for c in block))
+    ]
+    expected = "a,b,c\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in cells)
+    text = _csv(["a", "b", "c"], blocks)
+    assert text == expected
+    lines = text.splitlines()
+    assert lines[1] == "-0,0,nan" and lines[10] == "nan,0,nan"
+    assert _csv(["a", "b", "c"], cells) == expected
+
+
+def test_float_table_rejects_columns_of_unequal_length():
+    # zip would cut the longer column short without a word
+    with pytest.raises(ValueError):
+        _csv(["a", "b"], [(np.zeros(3), np.zeros(2))])
+
+
+def test_float_table_rejects_a_block_without_an_array_column():
+    with pytest.raises(ValueError, match="array column"):
+        _csv(["a", "b"], [(1.0, 2.0)])
 
 
 def run_console_script(*args):
