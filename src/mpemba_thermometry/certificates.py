@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .grids import check_times
 from .instances import ProbePair
 from .mpemba import HierarchyReport, InversionRecord, theorem_hierarchy_check
 from .spectral import ModalAmplitudes, SpectralDecomposition, SpectralDerivatives
@@ -115,14 +116,13 @@ class Lemma2Certificate:
 
 
 def _check_certifiable(
-    decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, t: float = 0.0
+    decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, t: float
 ) -> None:
     if decomposition.dim < 3:
         raise ValueError(
             f"modal certificates need at least 3 levels, got {decomposition.dim}"
         )
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    check_times(t)
     if amplitudes.dT_amplitudes is None:
         raise ValueError("amplitudes carry no dT_amplitudes")
 
@@ -194,7 +194,7 @@ def compute_lemma_constants(
     neighborhood: np.ndarray,
 ) -> LemmaConstants:
     """Assemble every bounding constant for one instance at evaluation time t."""
-    _check_certifiable(decomposition, amplitudes)
+    _check_certifiable(decomposition, amplitudes, t)
     c = _instance_constants(decomposition, derivatives, amplitudes, t)
     m_low, m_high = lemma3_metric_bounds(neighborhood)
     constants = LemmaConstants(

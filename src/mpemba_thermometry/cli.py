@@ -29,7 +29,6 @@ from .instances import (
     make_lambda_pair, make_lambda_probe, make_qubit_pair, make_qubit_probe, measured_level
 )
 from .mpemba import TrajectoryOrderingError, distance_series, qfi_gain
-from .oracle import IntegrationUnstableError
 from .protocol import (
     CELLS_ESTIMATE,
     DegenerateModelError,
@@ -53,7 +52,6 @@ _NUMERICAL_ERRORS = (
     DegenerateSpectrumError,
     RateMatrixError,
     TrajectoryOrderingError,
-    IntegrationUnstableError,
     DegenerateModelError,
     qb.UnphysicalRateError,
     ZeroDivisionError,
@@ -136,16 +134,14 @@ def _build_pair(config: RunConfig, temperature: float):
     if config.model == "qubit":
         return make_qubit_pair(_bath(config, temperature), config.p0_hot, config.p0_cold)
     norm = config.norm_kind or "euclidean"
-    return make_lambda_pair(
-        _bath(config, temperature), np.array(config.p_hot), np.array(config.p_cold), norm_kind=norm
-    )
+    return make_lambda_pair(_bath(config, temperature), config.p_hot, config.p_cold, norm_kind=norm)
 
 
 def _build_probe(config: RunConfig, hot: bool, temperature: float):
     """The hot preparation (or, with ``hot`` false, the thermalized probe) at ``temperature``."""
     if config.model == "qubit":
         return make_qubit_probe(_bath(config, temperature), config.p0_hot if hot else None)
-    return make_lambda_probe(_bath(config, temperature), np.array(config.p_hot) if hot else None)
+    return make_lambda_probe(_bath(config, temperature), config.p_hot if hot else None)
 
 
 def _time_grid(config: RunConfig) -> np.ndarray:
@@ -231,9 +227,6 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 
     temps = np.linspace(config.calib_t_min, config.calib_t_max, config.calib_t_points)
     times = _time_grid(config)
-    delta_policy: str | float = config.delta_policy
-    if delta_policy != "3se":
-        delta_policy = float(delta_policy)
     steps = ["calibration", "inversion_map", "fisher_map", "estimate"]
     manifest: list[str] = []
     status = 0
@@ -246,7 +239,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         manifest.append("step_calibration = ok")
 
         crossings = dynamical_calibration(
-            probe_at, temps, times, config.shots, config.seed, delta_policy=delta_policy
+            probe_at, temps, times, config.shots, config.seed, delta_policy=config.delta_policy
         )
         rows = [[t, crossings[float(t)]] for t in temps]
         _write_text(out_dir / "inversion_map.csv", _csv(["temperature", "t_crossing"], rows))

@@ -49,7 +49,7 @@ class RunConfig:
     # sampling pipeline
     seed: int = 12345
     shots: int = 10000
-    delta_policy: str = "3se"
+    delta_policy: str | float = "3se"  # load_config parses a margin to a float
     preparation: str = "hot"
     calib_t_min: float = 0.3
     calib_t_max: float = 0.7
@@ -133,6 +133,7 @@ def _validate(config: RunConfig) -> RunConfig:
                 "delta_policy must be '3se' or a finite non-negative number, "
                 f"got {config.delta_policy!r}"
             )
+        config = replace(config, delta_policy=margin)
     if config.t_steps < 2:
         raise ConfigError(f"t_steps must be at least 2, got {config.t_steps}")
     if config.t_max <= 0:

@@ -5,12 +5,14 @@ two-level closed forms; :func:`make_lambda_pair` decomposes the generator once,
 binds the modal sums and keeps the spectral data.  Detection, certification
 and the CLI see one surface: populations, Fisher information, a default time
 grid scaled to the slowest rate present, and the slow-mode data the theorem
-certificate compares.  Every ``hot_*``/``cold_*`` evaluator takes ``t`` as a
-float or a 1-D array and answers per time.  A pair fixes its norm when it is
-made; the ordering check and every detection use it.
+certificate compares.  Every time evaluator of a pair or a probe takes ``t``
+by :func:`.grids.check_times`, a float or a 1-D array, and answers per time.
+A pair fixes its norm when it is made; the ordering check and every detection
+use it.
 
-A :class:`Probe` is one preparation (``None``: the thermalized probe) against
-one bath, read on its measured level; it checks only its own preparation.
+A :class:`Probe` is one preparation (``None``: the thermalized probe, which
+holds its values at every time) against one bath, read on its measured level;
+it checks only its own preparation.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import qubit as qb
 from .fisher import (
     binomial_fisher, fisher_from_populations, qfi_equilibrium, qfi_qubit_closed_form
 )
+from .grids import check_times
 from .mpemba import InversionRecord, detect_inversion, thermal_distance
 from .spectral import (
     ModalAmplitudes,
@@ -82,7 +85,7 @@ class ProbePair:
         self, delta_tol: float = 0.0, times: Sequence[float] | np.ndarray | None = None
     ) -> InversionRecord:
         """Inversion scan of the two populations in the pair's own norm."""
-        grid = self.default_time_grid() if times is None else np.asarray(times, dtype=float)
+        grid = self.default_time_grid() if times is None else times
         return detect_inversion(
             self.hot_population,
             self.cold_population,
@@ -177,16 +180,16 @@ def make_lambda_pair(
 def measured_level(states, equilibrium=None):
     """``states`` read on the measured level.
 
-    A scalar state is its own level; a population vector reads its top level.
+    A scalar state is its own level; a population vector reads its top level, a scalar.
     ``states`` is one state, or with ``equilibrium`` states shaped like it, one per time.
     """
     single = states if equilibrium is None else equilibrium
-    return states if np.ndim(single) == 0 else np.asarray(states)[..., -1]
+    return states if np.ndim(single) == 0 else np.asarray(states)[..., -1][()]
 
 
 def _held(value: Callable, *args) -> Callable:
     """``t -> value(*args)`` at every time: a float for a float ``t``, an array for an array."""
-    return lambda t: value(*args) if np.ndim(t) == 0 else np.full(np.shape(t), value(*args))
+    return lambda t: value(*args) if check_times(t).ndim == 0 else np.full(len(t), value(*args))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .grids import check_grid
+
 __all__ = [
     "TrajectoryOrderingError",
     "InversionRecord",
@@ -126,11 +128,7 @@ def detect_inversion(
     """
     if delta_tol < 0:
         raise ValueError(f"delta_tol must be non-negative, got {delta_tol}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("times must contain at least two points")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+    times = check_grid(times, "times", 2)
 
     hot_values = np.asarray(hot(times), dtype=float)
     cold_values = np.asarray(cold(times), dtype=float)

@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .grids import check_grid
 from .instances import ProbePair, measured_level
 
 __all__ = [
@@ -302,11 +303,7 @@ def calibrate_equilibrium(
     frequencies are regularized by a non-decreasing isotonic fit before
     interpolation.  Temperature j draws from cell j.
     """
-    temps = np.asarray(temperatures, dtype=float)
-    if temps.ndim != 1 or temps.size < 2:
-        raise ValueError("need at least two calibration temperatures")
-    if np.any(np.diff(temps) <= 0):
-        raise ValueError("temperatures must be strictly increasing")
+    temps = check_grid(temperatures, "temperatures", 2)
     exact = [measured_level(probe_at(t).equilibrium) for t in temps.tolist()]
     draw = _sampler(shots, seed)
     per_draw = shots or 1  # a noiseless draw is one shot: unit weights
@@ -346,9 +343,7 @@ def dynamical_calibration(
     the pair's ordering check keeps the pair's own norm.
     """
     temps = np.asarray(temperatures, dtype=float)
-    times = np.asarray(time_grid, dtype=float)
-    if np.any(np.diff(times) <= 0) or times.size < 2:
-        raise ValueError("time_grid must be strictly increasing with at least two points")
+    times = check_grid(time_grid, "time_grid", 2)
     if isinstance(delta_policy, str):
         if delta_policy != "3se":
             raise ValueError(f"unknown delta policy {delta_policy!r}")
@@ -425,12 +420,8 @@ def fisher_map(
     variance falls below 1e-12 are flagged and set to 0 rather than divided.
     """
     times = np.asarray(times, dtype=float)
-    temps = np.asarray(temperatures, dtype=float)
     draw = _sampler(shots, seed)  # rejects shots < 0; exact rows are not drawn
-    if temps.size < 5:
-        raise ValueError("need at least 5 temperature knots for local quadratic fits")
-    if np.any(np.diff(temps) <= 0):
-        raise ValueError("temperatures must be strictly increasing")
+    temps = check_grid(temperatures, "temperatures", 5)  # the 5-point slope stencil
     rows = np.empty((times.size, temps.size))
     for j, temp in enumerate(temps.tolist()):
         rows[:, j] = population_fn(times, temp)

@@ -15,10 +15,10 @@ temperature derivatives, which are written in overflow-safe factorized form:
 
 The time-dependent closed forms take ``t`` as a float or as a 1-D array (one
 value per time) and evaluate both on one path: ``t`` becomes a float array
-(0-d for a float), the decay factor is one ``np.exp``, and a float ``t`` gets
-a Python float back.  numpy's ``exp`` gives the same bits for a 0-d and an
-n-d argument, so each array entry equals the float call at that time bit for
-bit.
+(0-d for a float) by :func:`.grids.check_times`, the package's one time rule,
+the decay factor is one ``np.exp``, and a float ``t`` gets a Python float
+back.  numpy's ``exp`` gives the same bits for a 0-d and an n-d argument, so
+each array entry equals the float call at that time bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grids import check_times
 
 __all__ = [
     "ColdLimitWarning",
@@ -151,28 +153,9 @@ def effective_rate(params: QubitBathParams, p0: float) -> float:
     return _rate(params, p0, thermal_quantities(params))
 
 
-def _check_times(t) -> np.ndarray:
-    """``t`` as a float array, 0-d for a float; negative and non-finite times rejected."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError(f"t must be a float or a 1-D array, got shape {times.shape}")
-    if times.size:
-        # min and max propagate NaN, so one pair of reductions sees every bad
-        # entry; a float is its own min and max, without the reductions' cost
-        if times.ndim:
-            low, high = float(times.min()), float(times.max())
-        else:
-            low = high = float(times)
-        if low < 0:
-            raise ValueError(f"t must be non-negative, got {low}")
-        if not high < math.inf:
-            raise ValueError(f"t must be finite, got {high}")
-    return times
-
-
 def evolve_population(params: QubitBathParams, p0: float, t):
     """Exact solution p(t) = p_eq + (p0 - p_eq) exp(-Gamma t); ``t`` a float or 1-D array."""
-    times = _check_times(t)
+    times = check_times(t)
     q = thermal_quantities(params)
     p = q.p_eq + (p0 - q.p_eq) * np.exp(-_rate(params, p0, q) * times)
     return p if times.ndim else float(p)
@@ -221,7 +204,7 @@ def dT_population(params: QubitBathParams, p0: float, t):
     dT p(t) = dT p_eq (1 - e^{-Gamma t}) - (p0 - p_eq) t e^{-Gamma t} dT Gamma,
     with ``t`` a float or a 1-D array.
     """
-    times = _check_times(t)
+    times = check_times(t)
     q = thermal_quantities(params)
     decay = np.exp(-_rate(params, p0, q) * times)
     d_peq = dT_gibbs(params.omega0, params.temperature)

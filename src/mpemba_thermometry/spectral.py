@@ -27,7 +27,8 @@ products W (G * O) and V (G * O^T).
 dT R itself is exact: the generator builders write it next to R from the
 closed-form dT nbar.  Finite differences appear only in
 :func:`finite_difference_spectrum`, the oracle the perturbation route is
-checked against.
+checked against.  The modal sums take ``t`` by the qubit's rule,
+:func:`.grids.check_times`: a float gives one vector, a 1-D array one row per time.
 
 A note on the three-level ladder in its symmetric configuration (degenerate
 lower doublet, equal couplings kappa): direct diagonalization gives nonzero
@@ -44,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from .grids import check_times
 from .oracle import finite_difference_dT
 from .qubit import bose_occupation, dT_bose
 
@@ -68,7 +70,6 @@ __all__ = [
     "dT_amplitudes",
     "amplitudes_with_derivatives",
     "dT_populations_modal",
-    "match_modes",
     "finite_difference_spectrum",
 ]
 
@@ -347,19 +348,16 @@ def modal_trajectory(
 ) -> np.ndarray:
     """p(t) = pi + sum_{k >= 2} a_k exp(-lambda_k t) v_k, one row per time.
 
-    ``times`` is a 1-D array (one row per time) or a float (one vector, the
-    one-row grid's row).  Negative entries within 1e-12 of zero are clamped to
-    0; larger ones raise :class:`RateMatrixError`.
+    ``times`` is a 1-D array (one row per time, none for an empty array) or a
+    float (one vector, the one-row grid's row), checked by
+    :func:`.grids.check_times`.  Populations negative within 1e-12 of zero are
+    clamped to 0; larger negatives raise :class:`RateMatrixError`.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be non-negative")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
+    times = check_times(times)
     a = amplitudes.amplitudes[1:]
     decay = np.exp(-np.outer(times, decomposition.eigenvalues[1:]))
     traj = decomposition.stationary[None, :] + (decay * a[None, :]) @ decomposition.right_modes[:, 1:].T
-    low = float(traj.min())
+    low = float(traj.min(initial=0.0))
     if low < -1e-12:
         raise RateMatrixError(f"modal populations went negative by {low:.3g}")
     traj = np.where(traj < 0.0, 0.0, traj)
@@ -442,16 +440,12 @@ def dT_populations_modal(
               + sum_{k>=2} a_k e^{-lambda_k t} dT v_k
 
     The value is gauge-invariant even though the two sums individually are not.
-    ``t`` is a float (one vector) or a 1-D array (one row per time, as in
-    :func:`modal_trajectory`); a float is evaluated as a one-row grid.  Rows at
+    ``t`` is a float (one vector) or a 1-D array (one row per time), checked
+    as in :func:`modal_trajectory`; a float is evaluated as a one-row grid.  Rows at
     t = 0 are exact zeros: the preparation is held fixed, so dT p(0) = 0, and
     the modal sums would only return their rounding residue.
     """
-    times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
-        raise ValueError(f"t must be non-negative, got {float(times.min())}")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("t must be finite")
+    times = check_times(t)
     if amplitudes.dT_amplitudes is None:
         raise ValueError("amplitudes carry no dT_amplitudes; use amplitudes_with_derivatives")
     a = amplitudes.amplitudes[1:]
@@ -470,7 +464,7 @@ def dT_populations_modal(
     return rows if times.ndim else rows[0]
 
 
-def match_modes(
+def _match_modes(
     base: SpectralDecomposition, other: SpectralDecomposition
 ) -> np.ndarray:
     """Identify other's modes with base's by left/right overlap.
@@ -479,8 +473,6 @@ def match_modes(
     :class:`AmbiguousTrackingError` when the best overlap fails to dominate the
     runner-up by a factor of 2 or the assignment is not a bijection.
     """
-    if base.dim != other.dim:
-        raise ValueError("decompositions have different dimensions")
     overlap = np.abs(base.left_modes.T @ other.right_modes)
     perm = np.empty(base.dim, dtype=int)
     for k in range(base.dim):
@@ -519,7 +511,7 @@ def finite_difference_spectrum(
 
     def aligned(temp: float):
         dec = decompose(family(temp))
-        perm = match_modes(decomposition, dec)
+        perm = _match_modes(decomposition, dec)
         lam = dec.eigenvalues[perm]
         right = dec.right_modes[:, perm].copy()
         left = dec.left_modes[:, perm].copy()

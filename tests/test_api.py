@@ -102,6 +102,15 @@ def test_oracle_imports_nothing_from_the_package():
     assert not package, f"oracle.py imports from the package: {package}"
 
 
+def test_grids_imports_nothing_from_the_package():
+    # every module checks its times and grids there, the model modules and
+    # the model-free ones (mpemba, protocol) alike, so it must stay a leaf
+    from mpemba_thermometry import grids
+
+    package = package_imports(grids)
+    assert not package, f"grids.py imports from the package: {package}"
+
+
 def model_imports(module) -> list[str]:
     """The model modules (``qubit``, ``spectral``) among ``module``'s package imports."""
     models = ("qubit", "spectral")

@@ -12,6 +12,7 @@ import pytest
 import mpemba_thermometry
 from mpemba_thermometry import cli, make_lambda_pair, make_qubit_pair
 from mpemba_thermometry.cli import _csv, _fmt, main
+from mpemba_thermometry.config import load_config
 from mpemba_thermometry.fisher import qfi_equilibrium
 from mpemba_thermometry.instances import make_qubit_probe, measured_level
 from mpemba_thermometry.mpemba import distance_series, qfi_gain
@@ -445,6 +446,24 @@ class TestProtocolCommand:
         cfg = write_config(tmp_path, f"model = {model}\ndelta_policy = 0.01\n")
         assert main(["protocol", "--config", cfg, "--output", str(tmp_path)]) == 0
         assert (tmp_path / "manifest.txt").read_text().splitlines()[-1] == "step_estimate = ok"
+
+    @pytest.mark.parametrize(
+        "text, policy", [("", "3se"), ("delta_policy = 3se\n", "3se"), ("delta_policy = 0.01\n", 0.01)]
+    )
+    def test_margin_is_parsed_once_by_the_config(self, tmp_path, monkeypatch, text, policy):
+        # the config keeps the parsed margin, and the command passes it on as it is
+        seen = []
+        calibration = cli.dynamical_calibration
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["delta_policy"])
+            return calibration(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "dynamical_calibration", recording)
+        cfg = write_config(tmp_path, "shots = 0\n" + text)
+        assert load_config(cfg).delta_policy == policy
+        assert main(["protocol", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+        assert seen == [policy] and type(seen[0]) is type(policy)
 
     @pytest.mark.parametrize(
         "step, function",

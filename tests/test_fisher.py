@@ -319,7 +319,3 @@ class TestClosedFormTimeArrays:
         assert f[0] == 0.0
         assert f[1] == pytest.approx(F_HOT_AT_TSTAR, rel=1e-10)
         assert qfi_gain(f, F_EQ)[0] == -math.inf
-
-    def test_negative_time_rejected(self, canonical_params):
-        with pytest.raises(ValueError, match="non-negative"):
-            qfi_qubit_closed_form(canonical_params, P0_HOT, np.array([1.0, -0.5]))

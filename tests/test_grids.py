@@ -1,0 +1,257 @@
+"""The one rule for times and the one rule for scan grids, held by every caller.
+
+Every time evaluator takes ``t`` by :func:`grids.check_times`: a float gives a
+float (or one population vector, the one-row grid's row), a 1-D array one row
+per time, an empty array an empty result, and 2-D, negative and non-finite
+times raise the rule's own ``ValueError``.  The lemma certificates take a
+float ``t`` only.  Every scan takes its grid by :func:`grids.check_grid`.
+The t = 0 regime is pinned here too: the preparation itself, exact zero
+sensitivity and Fisher information, and thermalized probes that hold pi.
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+
+from mpemba_thermometry import (
+    QubitBathParams,
+    build_lambda_rate_matrix,
+    decompose,
+    dT_population,
+    dT_populations_modal,
+    detect_inversion,
+    evolve_population,
+    gibbs_population_qubit,
+    make_lambda_pair,
+    make_qubit_pair,
+    modal_trajectory,
+    qfi_qubit_closed_form,
+    temperature_derivatives,
+)
+from mpemba_thermometry.certificates import (
+    compute_lemma_constants,
+    lemma1_remainder_check,
+    lemma2_slow_mode,
+    slow_mode_split,
+)
+from mpemba_thermometry.grids import check_grid, check_times
+from mpemba_thermometry.instances import make_lambda_probe, make_qubit_probe
+from mpemba_thermometry.protocol import calibrate_equilibrium, dynamical_calibration, fisher_map
+from mpemba_thermometry.spectral import amplitudes_with_derivatives
+
+from conftest import CANONICAL, LADDER, LADDER_COLD, LADDER_HOT, P0_COLD, P0_HOT
+
+QUBIT = QubitBathParams(**CANONICAL)
+LADDER_MATRIX = build_lambda_rate_matrix(**LADDER)
+DEC = decompose(LADDER_MATRIX)
+DER = temperature_derivatives(LADDER_MATRIX, DEC)
+AMPS = {
+    "hot": amplitudes_with_derivatives(DEC, DER, LADDER_HOT),
+    "cold": amplitudes_with_derivatives(DEC, DER, LADDER_COLD),
+}
+PAIRS = {
+    "qubit": make_qubit_pair(QUBIT, P0_HOT, P0_COLD),
+    "ladder": make_lambda_pair(LADDER_MATRIX, LADDER_HOT, LADDER_COLD),
+}
+PROBES = {
+    "qubit_hot": make_qubit_probe(QUBIT, P0_HOT),
+    "qubit_thermalized": make_qubit_probe(QUBIT, None),
+    "ladder_hot": make_lambda_probe(LADDER_MATRIX, LADDER_HOT),
+    "ladder_thermalized": make_lambda_probe(LADDER_MATRIX, None),
+}
+
+# every function of t the package offers, bound to the canonical instances
+EVALUATORS = {
+    "qubit.evolve_population": partial(evolve_population, QUBIT, P0_HOT),
+    "qubit.dT_population": partial(dT_population, QUBIT, P0_HOT),
+    "fisher.qfi_qubit_closed_form": partial(qfi_qubit_closed_form, QUBIT, P0_HOT),
+    "spectral.modal_trajectory": partial(modal_trajectory, DEC, AMPS["hot"]),
+    "spectral.dT_populations_modal": lambda t: dT_populations_modal(DEC, AMPS["hot"], DER, t),
+    **{
+        f"{model}_pair.{side}_{kind}": getattr(pair, f"{side}_{kind}")
+        for model, pair in PAIRS.items()
+        for side in ("hot", "cold")
+        for kind in ("population", "fisher")
+    },
+    **{
+        f"{name}_probe.{kind}": getattr(probe, kind)
+        for name, probe in PROBES.items()
+        for kind in ("population", "fisher")
+    },
+}
+# the certificates at one time: a float t only
+LEMMAS = {
+    "lemma1_remainder_check": partial(lemma1_remainder_check, DEC, AMPS["hot"], DER),
+    "lemma2_slow_mode": partial(lemma2_slow_mode, DEC, AMPS["hot"], DER),
+    "slow_mode_split": partial(slow_mode_split, DEC, AMPS["hot"], DER),
+    "compute_lemma_constants": lambda t: compute_lemma_constants(
+        DEC, DER, AMPS["hot"], t, DEC.stationary[None, :]
+    ),
+}
+BAD_TIMES = [-1.0, -1e-9, math.nan, math.inf, -math.inf]
+
+
+def message(call, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+class TestTimeContract:
+    @pytest.mark.parametrize("t", [0.0, 0.7, 12.5])
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_a_float_gives_the_one_row_grid_row(self, name, t):
+        value = EVALUATORS[name](t)
+        assert isinstance(value, float) or value.shape == (3,)
+        row = EVALUATORS[name](np.array([t]))[0]
+        assert np.asarray(value).tobytes() == np.asarray(row).tobytes()
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_an_array_gives_one_row_per_time(self, name):
+        values = EVALUATORS[name](np.array([0.0, 0.5, 2.0, 7.0]))
+        assert values.shape in ((4,), (4, 3))
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_an_empty_array_gives_an_empty_result(self, name):
+        values = EVALUATORS[name](np.array([]))
+        assert values.shape in ((0,), (0, 3))
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_a_2d_array_is_rejected(self, name):
+        # it used to be flattened into one row per entry by the ladder's sums
+        grid = np.zeros((2, 2))
+        assert message(EVALUATORS[name], grid) == message(check_times, grid)
+
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_a_bad_time_is_rejected_alone_or_in_an_array(self, name, bad):
+        # a float takes the 0-d shortcut past min/max: the same check, the same
+        # message as the one-element array and as the bad entry of a longer one
+        expected = message(check_times, bad)
+        for t in (bad, np.array([bad]), np.array([0.0, 1.0, bad])):
+            assert message(EVALUATORS[name], t) == expected
+
+    @pytest.mark.parametrize("name", LEMMAS)
+    def test_a_lemma_keeps_its_float_time(self, name):
+        result = LEMMAS[name](0.7)
+        if hasattr(result, "t"):
+            assert type(result.t) is float and result.t == 0.7
+
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    @pytest.mark.parametrize("name", LEMMAS)
+    def test_a_lemma_rejects_a_bad_time(self, name, bad):
+        # a NaN or infinite t used to give NaN certificates
+        assert message(LEMMAS[name], bad) == message(check_times, bad)
+
+
+class TestTimeZero:
+    """At t = 0 every trajectory is its preparation, and nothing has been learnt."""
+
+    @pytest.mark.parametrize(
+        "evaluate, preparation",
+        [
+            (partial(evolve_population, QUBIT, P0_HOT), P0_HOT),
+            (partial(modal_trajectory, DEC, AMPS["hot"]), LADDER_HOT),
+            (partial(modal_trajectory, DEC, AMPS["cold"]), LADDER_COLD),
+            (PAIRS["qubit"].hot_population, P0_HOT),
+            (PAIRS["qubit"].cold_population, P0_COLD),
+            (PAIRS["ladder"].hot_population, LADDER_HOT),
+            (PAIRS["ladder"].cold_population, LADDER_COLD),
+            (PROBES["qubit_hot"].population, P0_HOT),
+            (PROBES["ladder_hot"].population, LADDER_HOT[-1]),
+        ],
+    )
+    def test_populations_are_the_preparation(self, evaluate, preparation):
+        for value in (evaluate(0.0), evaluate(np.array([0.0]))[0]):
+            assert np.max(np.abs(value - preparation)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            partial(dT_population, QUBIT, P0_HOT),
+            partial(dT_populations_modal, DEC, AMPS["hot"], DER),
+            partial(dT_populations_modal, DEC, AMPS["cold"], DER),
+            partial(qfi_qubit_closed_form, QUBIT, P0_HOT),
+            *(getattr(pair, f"{side}_fisher") for pair in PAIRS.values() for side in ("hot", "cold")),
+            PROBES["qubit_hot"].fisher,
+            PROBES["ladder_hot"].fisher,
+        ],
+    )
+    def test_sensitivity_and_fisher_information_are_exact_zeros(self, evaluate):
+        # the preparation is held fixed, so dT p(0) = 0, not rounding residue
+        assert not np.any(evaluate(0.0))
+        assert not np.any(evaluate(np.array([0.0, 0.0])))
+
+    @pytest.mark.parametrize(
+        "name, pi",
+        [
+            ("qubit_thermalized", gibbs_population_qubit(QUBIT.omega0, QUBIT.temperature)),
+            ("ladder_thermalized", DEC.stationary[-1]),  # read on the top level
+        ],
+    )
+    def test_thermalized_probes_hold_pi(self, name, pi):
+        probe = PROBES[name]
+        assert probe.population(0.0) == pi
+        assert np.array_equal(probe.population(np.array([0.0, 1.0, 40.0])), np.full(3, pi))
+        assert probe.fisher(0.0) == probe.fisher(40.0)
+
+
+def qubit_pair_at(temperature: float):
+    return make_qubit_pair(QubitBathParams(1.0, 1.0, temperature, 1.0), P0_HOT, P0_COLD)
+
+
+def qubit_population(t, temperature: float):
+    return evolve_population(QubitBathParams(1.0, 1.0, temperature, 1.0), P0_HOT, t)
+
+
+# each scan with the argument name its grid is reported under and its minimum size
+SCANS = {
+    "detect_inversion": (
+        lambda grid: detect_inversion(
+            PAIRS["qubit"].hot_population,
+            PAIRS["qubit"].cold_population,
+            PAIRS["qubit"].equilibrium,
+            grid,
+        ),
+        "times",
+        2,
+    ),
+    "calibrate_equilibrium": (
+        lambda grid: calibrate_equilibrium(qubit_pair_at, grid, shots=0, seed=0),
+        "temperatures",
+        2,
+    ),
+    "dynamical_calibration": (
+        lambda grid: dynamical_calibration(qubit_pair_at, [0.5], grid, shots=0, seed=0),
+        "time_grid",
+        2,
+    ),
+    "fisher_map": (
+        lambda grid: fisher_map(qubit_population, [0.0, 1.0], grid),
+        "temperatures",
+        5,
+    ),
+}
+
+
+def _bad_grids(good: np.ndarray) -> list[np.ndarray]:
+    repeated, with_nan = good.copy(), good.copy()
+    repeated[1] = repeated[0]
+    with_nan[1] = math.nan
+    return [good[:-1], good.reshape(1, -1), repeated, good[::-1], with_nan]
+
+
+class TestGridRule:
+    @pytest.mark.parametrize("name", SCANS)
+    def test_every_scan_rejects_bad_grids_with_the_rule_message(self, name):
+        scan, label, min_points = SCANS[name]
+        good = np.linspace(0.3, 0.7, min_points)
+        scan(good)
+        for grid in _bad_grids(good):
+            assert message(scan, grid) == message(check_grid, grid, label, min_points)
+
+    def test_the_rule_returns_a_float_array(self):
+        grid = check_grid([0, 1, 3], "times", 2)
+        assert grid.dtype == float and grid.tolist() == [0.0, 1.0, 3.0]

@@ -1,7 +1,6 @@
 """Two-level relaxation model: frozen reference values, closed forms against
 the independent integrator/differentiator, and algebraic invariants."""
 
-import math
 import warnings
 
 import numpy as np
@@ -166,9 +165,6 @@ class TestTemperatureDerivatives:
             scale = max(abs(est.value), 1e-8)
             assert abs(got - est.value) / scale < 1e-7
 
-    def test_slope_vanishes_at_time_zero(self, canonical_params):
-        assert dT_population(canonical_params, 0.9, 0.0) == 0.0
-
 
 def test_bose_occupation_high_temperature_expansion():
     # n_bar -> T / omega0 - 1/2 + O(omega0/T)
@@ -210,29 +206,3 @@ class TestTimeArrays:
                 warnings.simplefilter("ignore", ColdLimitWarning)
                 expected = np.array([fn(params, P0_HOT, t) for t in grid.tolist()])
             assert values.tobytes() == expected.tobytes()
-
-    def test_negative_time_in_array_rejected(self, canonical_params):
-        grid = np.array([0.0, 1.0, -1e-9])
-        for fn in (evolve_population, dT_population):
-            with pytest.raises(ValueError, match="non-negative"):
-                fn(canonical_params, P0_HOT, grid)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_time_rejected(self, canonical_params, bad):
-        # a NaN t would otherwise give NaN values, and an infinite t a NaN
-        # slope (inf * 0)
-        for fn in (evolve_population, dT_population):
-            for t in (bad, np.array([0.0, 1.0, bad])):
-                with pytest.raises(ValueError, match="finite"):
-                    fn(canonical_params, P0_HOT, t)
-
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-    def test_float_time_rejected_as_a_one_element_array(self, canonical_params, bad):
-        # a float takes the 0-d shortcut past min/max: the same check, the same message
-        for fn in (evolve_population, dT_population):
-            messages = []
-            for t in (bad, np.array([bad])):
-                with pytest.raises(ValueError) as info:
-                    fn(canonical_params, P0_HOT, t)
-                messages.append(str(info.value))
-            assert messages[0] == messages[1]
