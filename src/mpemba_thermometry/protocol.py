@@ -15,11 +15,15 @@ order, reproduces the same draws.  Pipeline stages use disjoint cell ranges
 ``CELLS_ESTIMATE``) to stay non-overlapping under a shared seed.
 
 Every draw goes through one sampler per stage (a single record is a stage of
-one draw).  It takes one generator from :func:`sampling_stream` and, before
-each draw, resets it to counter 0 and re-keys it to ``(seed, cell)``: the same
-draws as a fresh ``sampling_stream(seed, cell)``, without building a
-generator per cell.  Seeds and cells are Philox key words, so both must lie
-in [0, 2**64).  The sampled Fisher map fits all its rows, in both monotone
+one draw).  It takes one generator from :func:`sampling_stream` and draws a
+stage's cells as blocks: one call per block checks every population of the
+block and its whole cell range at once, then hands back a lazy iterator that,
+before each draw, resets the generator to counter 0 and re-keys it to
+``(seed, cell)``: the same draws as a fresh ``sampling_stream(seed, cell)``,
+without building a generator or repeating a check per cell.  A stage that
+stops early, as the inversion map does at its first crossing, draws no cell
+past it.  Seeds and cells are Philox key words, so both must lie in
+[0, 2**64).  The sampled Fisher map fits all its rows, in both monotone
 directions, with one lock-step pool-adjacent-violators pass; ``pav_isotonic``
 is that pass's one-row case.
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -168,26 +172,70 @@ def sampling_stream(seed: int, cell: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sampler(shots: int, seed: int) -> Callable[[float, int], float]:
-    """``successes(p_true, cell)``: one binomial draw of ``shots`` at ``p_true``.
+def _checked_block(p_true: Sequence[float] | np.ndarray) -> Sequence[float]:
+    """The populations of a block, each checked to lie in [0, 1].
 
-    With ``shots = 0`` the successes are ``p_true`` itself, out of one shot,
-    and no generator is built.  Otherwise one generator from
+    One value keeps the scalar check, with no array reduction, and is returned
+    as given.  A longer block is checked with one vectorised test, which NaN
+    fails too, and returned as a list of floats; the message names its first
+    bad value.
+    """
+    if len(p_true) == 1:
+        _check_probability(p_true[0])
+        return p_true
+    values = np.asarray(p_true, dtype=float)
+    inside = (values >= 0.0) & (values <= 1.0)
+    if not inside.all():
+        _check_probability(float(values[np.argmin(inside)]))
+    return values.tolist()
+
+
+def _rekeyed_draws(
+    rng: np.random.Generator, state: dict, shots: int, p_values: Sequence[float], cell: int
+) -> Iterator[int]:
+    """Binomial draws of ``shots`` at each of ``p_values``, one cell each from ``cell`` on.
+
+    Before each draw ``rng``'s bit generator is set to ``state``, whose key's
+    second word is the cell.  It lives at module level so that a sampler
+    builds no generator function of its own.
+    """
+    bitgen, binomial, key = rng.bit_generator, rng.binomial, state["state"]["key"]
+    for p_true in p_values:
+        key[1] = cell
+        bitgen.state = state
+        yield binomial(shots, p_true)
+        cell += 1
+
+
+def _sampler(
+    shots: int, seed: int
+) -> Callable[[Sequence[float] | np.ndarray, int], Iterator[float]]:
+    """``draws(p_true, first_cell)``: binomial draws of ``shots`` for a block of cells.
+
+    ``p_true[k]`` is drawn from cell ``first_cell + k``.  The call checks the
+    whole block at once: every population (one vectorised [0, 1] test, or a
+    scalar check for a one-cell block) and, when sampling, the first and last
+    cell of its range.  A bad block raises before any of its cells is drawn.
+    It then returns a lazy iterator over the block's successes in cell order,
+    so a stage that stops reading draws no further cell (a one-cell block, with
+    no further cell, is drawn at the call).  With ``shots = 0`` the successes
+    are the populations themselves, out of one shot; no generator is built and
+    no key is checked.  Otherwise one generator from
     ``sampling_stream(seed, 0)`` serves every draw: its Philox is reset to
     counter 0, an empty buffer and the key ``(seed, cell)`` before each draw,
     the state of a fresh ``sampling_stream(seed, cell)``.  That state is held
-    as plain Python ints, since the ``Philox.state`` setter reads it element by
-    element, and only ``key[1]`` changes per draw (a Philox per cell would
+    as plain Python ints, since the ``Philox.state`` setter reads it element
+    by element, and only ``key[1]`` changes per draw (a Philox per cell would
     also build a ``SeedSequence`` from OS entropy that the key overrides).
-    Every draw checks ``p_true``; a sampled draw checks ``cell`` too.
+    Since every draw re-keys, the iterators of several blocks may be read in
+    any interleaving.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative (0 = noiseless), got {shots}")
     if shots == 0:
 
-        def exact(p_true: float, cell: int) -> float:
-            _check_probability(p_true)
-            return p_true
+        def exact(p_true: Sequence[float] | np.ndarray, first_cell: int) -> Iterator[float]:
+            return iter(_checked_block(p_true))
 
         return exact
     rng = sampling_stream(seed, 0)
@@ -202,14 +250,20 @@ def _sampler(shots: int, seed: int) -> Callable[[float, int], float]:
         "uinteger": 0,
     }
 
-    def successes(p_true: float, cell: int) -> int:
-        _check_probability(p_true)
-        _check_key(seed, cell)
-        key[1] = cell
-        bitgen.state = state
-        return int(binomial(shots, p_true))
+    def draws(p_true: Sequence[float] | np.ndarray, first_cell: int) -> Iterator[int]:
+        values = _checked_block(p_true)
+        # the cells ascend, so the first and the last bound the whole range
+        _check_key(seed, first_cell)
+        if len(values) == 1:
+            # a lone cell has no later cell to skip: it is drawn at once, without a generator
+            key[1] = first_cell
+            bitgen.state = state
+            return iter((binomial(shots, values[0]),))
+        if values:
+            _check_key(seed, first_cell + len(values) - 1)
+        return _rekeyed_draws(rng, state, shots, values, first_cell)
 
-    return successes
+    return draws
 
 
 def sample_population(
@@ -224,10 +278,9 @@ def sample_population(
 
     ``shots = 0`` gives the noiseless record: ``p_true`` successes out of one shot.
     """
-    successes = _sampler(shots, seed)(p_true, cell)
-    return ShotRecord(
-        shots=shots or 1, successes=successes, time=time, preparation=preparation, seed=seed
-    )
+    successes = next(_sampler(shots, seed)((p_true,), cell))
+    # positional: keywords cost this frozen dataclass about 0.2 µs more per record
+    return ShotRecord(shots or 1, successes, time, preparation, seed)
 
 
 def _pav_rows(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -305,9 +358,8 @@ def calibrate_equilibrium(
     """
     temps = check_grid(temperatures, "temperatures", 2)
     exact = [measured_level(probe_at(t).equilibrium) for t in temps.tolist()]
-    draw = _sampler(shots, seed)
     per_draw = shots or 1  # a noiseless draw is one shot: unit weights
-    observed = np.array([draw(p, j) / per_draw for j, p in enumerate(exact)])
+    observed = np.fromiter(_sampler(shots, seed)(exact, 0), float, len(exact)) / per_draw
     weights = np.full_like(temps, float(per_draw))
     return CalibrationCurve(knots=temps, values=pav_isotonic(observed, weights))
 
@@ -329,20 +381,26 @@ def dynamical_calibration(
     policy ``"3se"`` sets delta to three combined binomial standard errors,
     with frequencies clipped to [1/(2 shots), 1 - 1/(2 shots)] so empty cells
     do not produce a zero margin; a float sets a constant margin; the
-    noiseless mode (shots = 0) uses delta = 0.
+    noiseless mode (shots = 0) uses delta = 0.  The temperatures must be
+    strictly increasing, the rule of every scan grid: each keys its own entry.
 
     Cell layout per temperature j, with M time points: equilibrium reference
     at ``CELLS_DYNAMICAL + j (2 M + 1)``, then hot/cold pairs at the following
     ``2 M`` cells in time order.  Each preparation's populations come from
-    one pair evaluation over the whole grid per temperature; the cells are
-    drawn in time order and no cell past the first crossing is drawn.  That
-    lazy stop is why the distances are written inline, one cell
-    at a time: ``abs(p_hat - p_eq_hat)`` is the scalar case of
+    one pair evaluation over the whole grid per temperature, and the
+    temperature's cells are one sampler block: every population in it is
+    checked before its first cell is drawn, even one past the crossing.  The
+    block's iterator is read lazily, the reference and then a hot/cold pair
+    per time, so no cell past the first crossing is drawn.  That lazy stop is
+    why the distances are written inline, one cell at a time:
+    ``abs(p_hat - p_eq_hat)`` is the scalar case of
     :func:`mpemba.distance_series`' ``scalar_abs`` kernel.  So a ladder's
     sampled crossing compares ``scalar_abs`` distances of its top level, while
-    the pair's ordering check keeps the pair's own norm.
+    the pair's ordering check keeps the pair's own norm.  The ``"3se"`` margin
+    is computed only where D_hot < D_cold: elsewhere D_cold - delta, with
+    delta >= 0, cannot exceed D_hot, so skipping it changes no crossing.
     """
-    temps = np.asarray(temperatures, dtype=float)
+    temps = check_grid(temperatures, "temperatures", 1)
     times = check_grid(time_grid, "time_grid", 2)
     if isinstance(delta_policy, str):
         if delta_policy != "3se":
@@ -362,25 +420,26 @@ def dynamical_calibration(
     stride = 2 * times.size + 1
     for j, temp in enumerate(temps.tolist()):
         pair = probe_at(temp)
-        base = CELLS_DYNAMICAL + j * stride
-        p_eq_hat = draw(measured_level(pair.equilibrium), base) / per_draw
-        hot = measured_level(pair.hot_population(times), pair.equilibrium).tolist()
-        cold = measured_level(pair.cold_population(times), pair.equilibrium).tolist()
+        block = np.empty(stride)
+        block[0] = measured_level(pair.equilibrium)
+        block[1::2] = measured_level(pair.hot_population(times), pair.equilibrium)
+        block[2::2] = measured_level(pair.cold_population(times), pair.equilibrium)
+        cells = draw(block, CELLS_DYNAMICAL + j * stride)
+        p_eq_hat = next(cells) / per_draw
         crossing: float | None = None
-        for t, p_hot, p_cold, cell in zip(
-            times.tolist(), hot, cold, range(base + 1, base + stride, 2)
-        ):
-            hot_hat = draw(p_hot, cell) / per_draw
-            cold_hat = draw(p_cold, cell + 1) / per_draw
-            if three_se:
-                ph = min(max(hot_hat, lo), hi)
-                pc = min(max(cold_hat, lo), hi)
-                delta = 3.0 * math.sqrt(
-                    ph * (1.0 - ph) / shots + pc * (1.0 - pc) / shots
-                )
-            if abs(hot_hat - p_eq_hat) < abs(cold_hat - p_eq_hat) - delta:
-                crossing = t
-                break
+        for t, hot, cold in zip(times.tolist(), cells, cells):
+            hot_hat, cold_hat = hot / per_draw, cold / per_draw
+            d_hot, d_cold = abs(hot_hat - p_eq_hat), abs(cold_hat - p_eq_hat)
+            if d_hot < d_cold:
+                if three_se:
+                    ph = min(max(hot_hat, lo), hi)
+                    pc = min(max(cold_hat, lo), hi)
+                    delta = 3.0 * math.sqrt(
+                        ph * (1.0 - ph) / shots + pc * (1.0 - pc) / shots
+                    )
+                if d_hot < d_cold - delta:
+                    crossing = t
+                    break
         out[temp] = crossing
     return out
 
@@ -426,9 +485,8 @@ def fisher_map(
     for j, temp in enumerate(temps.tolist()):
         rows[:, j] = population_fn(times, temp)
     if shots >= 1:
-        sampled = np.array(
-            [draw(p, CELLS_FISHER_MAP + k) / shots for k, p in enumerate(rows.ravel().tolist())]
-        ).reshape(rows.shape)
+        successes = draw(rows.ravel(), CELLS_FISHER_MAP)  # one block, row-major
+        sampled = np.fromiter(successes, float, rows.size).reshape(rows.shape) / shots
         # both directions of every row in one pass: decreasing = -increasing(-y)
         both = np.vstack([sampled, -sampled])
         fits = _pav_rows(both, np.full(both.shape, float(shots)))

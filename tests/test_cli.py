@@ -1,10 +1,12 @@
 """Command-line interface: artifact schemas, determinism, and exit codes."""
 
+import argparse
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -742,6 +744,38 @@ def run_console_script(*args):
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
     )
+
+
+class TestParser:
+    def test_main_builds_the_parser_once_per_process(self, monkeypatch, capsys, tmp_path):
+        # what a parser built afresh writes for an unknown subcommand
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(["bogus"])
+        fresh = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in fresh
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                if kwargs.get("prog") == "mpemba-thermo":  # not the subcommand parsers
+                    built.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        # cli's own name for the module: argparse itself must keep its class
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+        cli._build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(["bogus"])
+                assert exit_info.value.code == 2
+                assert capsys.readouterr().err == fresh
+            # a parse error leaves the parser as it was for the next run
+            assert main(["relax", "--output", str(tmp_path)]) == 0
+            assert built == ["mpemba-thermo"]
+            assert cli._build_parser() is cli._build_parser()
+        finally:
+            cli._build_parser.cache_clear()  # later calls build an unpatched parser
 
 
 class TestConsoleScript:

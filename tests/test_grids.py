@@ -228,6 +228,13 @@ SCANS = {
         "time_grid",
         2,
     ),
+    "dynamical_calibration temperatures": (
+        lambda grid: dynamical_calibration(
+            qubit_pair_at, grid, np.linspace(0.0, 4.0, 21), shots=100, seed=1
+        ),
+        "temperatures",
+        1,
+    ),
     "fisher_map": (
         lambda grid: fisher_map(qubit_population, [0.0, 1.0], grid),
         "temperatures",
@@ -236,20 +243,20 @@ SCANS = {
 }
 
 
-def _bad_grids(good: np.ndarray) -> list[np.ndarray]:
+def _bad_grids(good: np.ndarray, min_points: int) -> list[np.ndarray]:
     repeated, with_nan = good.copy(), good.copy()
     repeated[1] = repeated[0]
     with_nan[1] = math.nan
-    return [good[:-1], good.reshape(1, -1), repeated, good[::-1], with_nan]
+    return [good[: min_points - 1], good.reshape(1, -1), repeated, good[::-1], with_nan]
 
 
 class TestGridRule:
     @pytest.mark.parametrize("name", SCANS)
     def test_every_scan_rejects_bad_grids_with_the_rule_message(self, name):
         scan, label, min_points = SCANS[name]
-        good = np.linspace(0.3, 0.7, min_points)
+        good = np.linspace(0.3, 0.7, max(min_points, 2))  # two points to repeat or reverse
         scan(good)
-        for grid in _bad_grids(good):
+        for grid in _bad_grids(good, min_points):
             assert message(scan, grid) == message(check_grid, grid, label, min_points)
 
     def test_the_rule_returns_a_float_array(self):

@@ -58,16 +58,22 @@ def sampled_frequency(p: float, shots: int, seed: int, cell: int) -> float:
 
 
 def recording_sampler(monkeypatch) -> list[int]:
-    """Record every cell a stage draws, in draw order."""
+    """Record every cell a stage draws, in draw order, as the block iterator yields it."""
     drawn: list[int] = []
     real = protocol._sampler
 
     def recording(shots, seed):
-        draw = real(shots, seed)
+        draws = real(shots, seed)
 
-        def recorded(p, cell):
-            drawn.append(cell)
-            return draw(p, cell)
+        def recorded(p_true, first_cell):
+            block = draws(p_true, first_cell)  # the block's checks run here, as in the stage
+
+            def yielded():
+                for cell, successes in enumerate(block, first_cell):
+                    drawn.append(cell)
+                    yield successes
+
+            return yielded()
 
         return recorded
 
@@ -92,6 +98,12 @@ def recording_root(monkeypatch, brackets: list | None = None) -> list[float]:
 
     monkeypatch.setattr(protocol, "_bracketed_root", recording)
     return points
+
+
+def message(call, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
 
 
 def refuse(name: str):
@@ -202,32 +214,55 @@ class TestSamplingStreams:
     @given(
         seed=st.one_of(st.integers(0, 2**63), st.integers(2**64 - 2**10, 2**64 - 1)),
         shots=st.one_of(st.sampled_from([1, 7, 100, 10_000, 50_000]), st.integers(1, 10**6)),
-        cells=st.lists(
+        blocks=st.lists(
             st.tuples(
                 st.integers(0, 2**40),
-                st.one_of(st.sampled_from([0.0, 1.0, 0.3]), st.floats(0.0, 1.0)),
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, 1.0, 0.3]), st.floats(0.0, 1.0)),
+                    min_size=1,
+                    max_size=6,
+                ),
             ),
             min_size=1,
-            max_size=12,
+            max_size=8,
         ),
         order=st.randoms(use_true_random=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_sampler_draws_what_a_fresh_stream_draws(self, seed, shots, cells, order):
-        cells = cells + cells[:3]  # repeated cells and repeated (p, shots) pairs
-        order.shuffle(cells)
+    def test_sampler_draws_what_a_fresh_stream_draws(self, seed, shots, blocks, order):
+        def fresh(first_cell, ps):
+            return [
+                int(sampling_stream(seed, first_cell + k).binomial(shots, p))
+                for k, p in enumerate(ps)
+            ]
+
+        # repeated blocks, and one-cell blocks of the same cells, in shuffled order
+        one_cell = [(first + k, [p]) for first, ps in blocks for k, p in enumerate(ps)]
+        blocks = blocks + blocks[:3] + one_cell
+        order.shuffle(blocks)
         draw = protocol._sampler(shots, seed)
-        for cell, p in cells:
-            expected = int(sampling_stream(seed, cell).binomial(shots, p))
-            assert draw(p, cell) == expected
-            assert sample_population(p, shots, seed, cell=cell).successes == expected
+        for first, ps in blocks:
+            expected = fresh(first, ps)
+            assert list(draw(ps, first)) == expected
+            assert list(draw(np.array(ps), first)) == expected
+            if len(ps) == 1:
+                assert sample_population(ps[0], shots, seed, cell=first).successes == expected[0]
+        # every draw re-keys, so the iterators of several blocks may be read interleaved
+        iterators = [draw(ps, first) for first, ps in blocks]
+        interleaved = [[] for _ in blocks]
+        for step in range(max(len(ps) for _, ps in blocks)):
+            for got, it, (_, ps) in zip(interleaved, iterators, blocks):
+                if step < len(ps):
+                    got.append(next(it))
+        assert interleaved == [fresh(first, ps) for first, ps in blocks]
         # a rejected call leaves nothing behind for the next draw
+        first, ps = blocks[0]
         with pytest.raises(ValueError):
-            draw(1.5, cells[0][0])
+            draw(ps + [1.5], first)
         with pytest.raises(ValueError):
-            draw(0.5, 2**64)
-        cell, p = cells[-1]
-        assert draw(p, cell) == int(sampling_stream(seed, cell).binomial(shots, p))
+            draw([0.5, 0.5], 2**64 - 1)
+        first, ps = blocks[-1]
+        assert list(draw(ps, first)) == fresh(first, ps)
 
     @pytest.mark.parametrize(
         "p, shots, seed, cell, message",
@@ -240,9 +275,38 @@ class TestSamplingStreams:
     def test_sampler_rejects_what_sample_population_rejects(self, p, shots, seed, cell, message):
         with pytest.raises(ValueError, match=message) as expected:
             sample_population(p, shots, seed, cell=cell)
+        # a one-cell block raises at the call, before its iterator exists
         with pytest.raises(ValueError) as got:
-            protocol._sampler(shots, seed)(p, cell)
+            protocol._sampler(shots, seed)([p], cell)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_a_block_is_checked_whole_before_any_draw(self, monkeypatch, shots, bad, where):
+        drawn = recording_sampler(monkeypatch)
+        block = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        block[where] = bad
+        expected = message(sample_population, bad, shots, 4, cell=9)
+        assert expected == f"p_true must lie in [0, 1], got {bad}"
+        assert message(protocol._sampler(shots, 4), block, 9) == expected
+        if where < len(block) - 1:
+            block[-1] = -7.0  # a later bad value is not the one reported
+            assert message(protocol._sampler(shots, 4), block, 9) == expected
+        assert drawn == []
+
+    def test_a_block_ending_on_an_invalid_cell_raises_before_any_draw(self, monkeypatch):
+        drawn = recording_sampler(monkeypatch)
+        draw = protocol._sampler(10, 4)
+        expected = message(sample_population, 0.5, 10, 4, cell=2**64)
+        assert message(draw, [0.5] * 3, 2**64 - 2) == expected
+        assert expected == f"seed and cell must be below 2**64, got (4, {2**64})"
+        assert drawn == []
+        # the last valid cells still draw, and noiseless blocks check no key
+        assert list(draw([0.5] * 2, 2**64 - 2)) == [
+            int(sampling_stream(4, cell).binomial(10, 0.5)) for cell in (2**64 - 2, 2**64 - 1)
+        ]
+        assert list(protocol._sampler(0, 4)([0.5] * 3, 2**64 - 2)) == [0.5] * 3
 
     @pytest.mark.parametrize("shots", [0, 1000])
     def test_each_sampled_stage_builds_one_stream(self, monkeypatch, shots):
@@ -631,6 +695,115 @@ class TestFisherMap:
         fm = fisher_map(model, times, temps, shots=shots, seed=seed)
         assert np.array_equal(fm.values, values)
         assert np.array_equal(fm.zero_flags, flags)
+
+
+def flat_pair(equilibrium: float, hot, cold):
+    """A pair whose populations along any grid are ``hot`` and ``cold`` (one per time)."""
+    return SimpleNamespace(
+        equilibrium=equilibrium,
+        hot_population=lambda t: np.asarray(hot, dtype=float),
+        cold_population=lambda t: np.asarray(cold, dtype=float),
+    )
+
+
+class TestStageBlocks:
+    """Each stage draws through checked blocks: a bad population anywhere in a
+    block raises before any of the block's cells is drawn, and the checks run
+    once per block, not once per cell."""
+
+    GRID = np.linspace(0.0, 1.0, 5)
+    BAD = [1.2, -0.1, math.nan]
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_calibration_checks_every_knot_first(self, monkeypatch, shots, bad):
+        drawn = recording_sampler(monkeypatch)
+        probe_at = lambda T: SimpleNamespace(equilibrium=bad if T == 0.6 else 0.3)  # noqa: E731
+        got = message(calibrate_equilibrium, probe_at, [0.3, 0.4, 0.5, 0.6], shots, 2)
+        assert got == f"p_true must lie in [0, 1], got {bad}"
+        assert drawn == []
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("preparation", ["hot", "cold", "equilibrium"])
+    def test_inversion_map_checks_each_temperature_block_first(
+        self, monkeypatch, shots, bad, preparation
+    ):
+        drawn = recording_sampler(monkeypatch)
+        # at T = 0.4 nothing moves (every draw is 0, so no crossing); T = 0.5 is spoiled
+        rows = {"equilibrium": 0.0, "hot": [0.0] * 5, "cold": [0.0] * 5}
+        if preparation == "equilibrium":
+            rows["equilibrium"] = bad
+        else:
+            rows[preparation][-1] = bad
+        pairs = {0.4: flat_pair(0.0, [0.0] * 5, [0.0] * 5), 0.5: flat_pair(**rows)}
+        got = message(dynamical_calibration, pairs.get, [0.4, 0.5], self.GRID, shots, 2)
+        assert got == f"p_true must lie in [0, 1], got {bad}"
+        # the first temperature's whole block, and not one cell of the second
+        stride = 2 * self.GRID.size + 1
+        assert drawn == list(range(CELLS_DYNAMICAL, CELLS_DYNAMICAL + stride))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_noiseless_bad_value_past_the_crossing_raises(self, monkeypatch, bad):
+        drawn = recording_sampler(monkeypatch)
+        hot, cold = [0.9, 0.5, 0.5, 0.5, 0.5], [0.1, 0.1, 0.1, 0.1, 0.1]
+        # the clean pair crosses at the second time and draws nothing past it
+        out = dynamical_calibration(lambda T: flat_pair(0.5, hot, cold), [0.5], self.GRID, 0, 2)
+        assert out == {0.5: 0.25}
+        assert drawn == list(range(CELLS_DYNAMICAL, CELLS_DYNAMICAL + 5))
+        drawn.clear()
+        # a bad value after that crossing was never reached per cell; the block sees it
+        cold[-1] = bad
+        got = message(
+            dynamical_calibration, lambda T: flat_pair(0.5, hot, cold), [0.5], self.GRID, 0, 2
+        )
+        assert got == f"p_true must lie in [0, 1], got {bad}"
+        assert drawn == []
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sampled_fisher_map_checks_the_whole_grid_first(self, monkeypatch, bad):
+        drawn = recording_sampler(monkeypatch)
+
+        def spoiled(t, temp):
+            row = np.full(t.size, 0.4)
+            if temp == 0.7:
+                row[-1] = bad
+            return row
+
+        temps = np.linspace(0.3, 0.7, 5)
+        got = message(fisher_map, spoiled, self.GRID, temps, shots=10, seed=2)
+        assert got == f"p_true must lie in [0, 1], got {bad}"
+        assert drawn == []
+
+    def test_checks_run_per_block_not_per_cell(self, monkeypatch):
+        calls = {"_check_probability": 0, "_check_key": 0}
+        for name in calls:
+            real = getattr(protocol, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(protocol, name, counted)
+        temps = np.linspace(0.3, 0.7, 9)
+
+        def checks(stage, points: int) -> dict[str, int]:
+            for name in calls:
+                calls[name] = 0
+            stage(np.linspace(0.0, 8.0, points))
+            return dict(calls)
+
+        stages = {
+            "dynamical_calibration": lambda grid: dynamical_calibration(
+                qubit_probe(), temps, grid, shots=10_000, seed=3
+            ),
+            "fisher_map": lambda grid: fisher_map(hot_model, grid, temps, shots=10_000, seed=3),
+        }
+        for name, stage in stages.items():
+            small, large = checks(stage, 51), checks(stage, 201)
+            # the stream's key, then the first and last key of each block
+            blocks = temps.size if name == "dynamical_calibration" else 1
+            assert small == large == {"_check_probability": 0, "_check_key": 1 + 2 * blocks}
 
 
 class TestMleTemperature:
