@@ -46,6 +46,8 @@ __all__ = [
     "verify_theorem",
 ]
 
+_METRIC_EPS = 1e-6  # populations at or below it make the Lemma 3 metric 1/p_i unbounded
+
 
 @dataclass(frozen=True)
 class LemmaConstants:
@@ -326,23 +328,21 @@ def lemma2_slow_mode(
     )
 
 
-def lemma3_metric_bounds(
-    neighborhood: np.ndarray, eps: float = 1e-6
-) -> tuple[float, float]:
+def lemma3_metric_bounds(neighborhood: np.ndarray) -> tuple[float, float]:
     """Extremes of the diagonal metric 1/p_i over a point cloud.
 
     Returns (m_low, m_high) with m_low = min over points and levels of 1/p_i
     and m_high the corresponding max.  Because the extremes of coordinatewise
     1/p over a convex hull are attained at vertices, passing the sampled
     trajectory points is exact for their hull.  Populations at or below
-    ``eps`` make the metric unbounded and raise.
+    ``_METRIC_EPS`` make the metric unbounded and raise.
     """
     points = np.atleast_2d(np.asarray(neighborhood, dtype=float))
     low = float(points.min())
-    if low <= eps:
+    if low <= _METRIC_EPS:
         raise ValueError(
             f"neighbourhood touches the simplex boundary (min population {low:.3g} "
-            f"<= {eps:.1g}); metric bounds are unbounded"
+            f"<= {_METRIC_EPS:.1g}); metric bounds are unbounded"
         )
     return 1.0 / float(points.max()), 1.0 / low
 

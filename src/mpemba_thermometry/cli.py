@@ -45,7 +45,7 @@ from .spectral import (
     build_lambda_rate_matrix,
 )
 
-__all__ = ["main", "cmd_relax", "cmd_qfi", "cmd_theorem", "cmd_protocol"]
+__all__ = ["main"]
 
 _NUMERICAL_ERRORS = (
     DivergentFisherError,
@@ -148,7 +148,7 @@ def _time_grid(config: RunConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.t_steps)
 
 
-def cmd_relax(config: RunConfig, out_dir: Path) -> int:
+def _cmd_relax(config: RunConfig, out_dir: Path) -> int:
     """Relaxation trajectories, distances, and the inversion record."""
     pair = _build_pair(config, config.temperature)
     times = _time_grid(config)
@@ -176,7 +176,7 @@ def cmd_relax(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
+def _cmd_qfi(config: RunConfig, out_dir: Path) -> int:
     """Fisher-information trajectories, or the preparation-time surface."""
     times = _time_grid(config)
     if config.qfi_mode == "trajectory":
@@ -204,7 +204,7 @@ def cmd_qfi(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_theorem(config: RunConfig, out_dir: Path) -> int:
+def _cmd_theorem(config: RunConfig, out_dir: Path) -> int:
     """Run the transient-advantage verification and write its certificate."""
     pair = _build_pair(config, config.temperature)
     certificate = verify_theorem(pair, t_grid=_time_grid(config), delta_tol=config.delta_tol)
@@ -212,7 +212,7 @@ def cmd_theorem(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
+def _cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     """End-to-end pipeline: calibrate, map, and estimate the temperature."""
     probe_at = partial(_build_pair, config)
     # the map and the likelihood model only the interrogated preparation: a
@@ -241,7 +241,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         crossings = dynamical_calibration(
             probe_at, temps, times, config.shots, config.seed, delta_policy=config.delta_policy
         )
-        rows = [[t, crossings[float(t)]] for t in temps]
+        rows = [[t, crossing] for t, crossing in zip(temps, crossings, strict=True)]
         _write_text(out_dir / "inversion_map.csv", _csv(["temperature", "t_crossing"], rows))
         manifest.append("step_inversion_map = ok")
 
@@ -288,10 +288,10 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 
 
 _COMMANDS = {
-    "relax": cmd_relax,
-    "qfi": cmd_qfi,
-    "theorem": cmd_theorem,
-    "protocol": cmd_protocol,
+    "relax": _cmd_relax,
+    "qfi": _cmd_qfi,
+    "theorem": _cmd_theorem,
+    "protocol": _cmd_protocol,
 }
 
 

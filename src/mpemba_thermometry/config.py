@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_file", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -87,7 +87,7 @@ def _parse_value(key: str, raw: str, kind: type):
     return value
 
 
-def parse_config_file(path: str | Path) -> dict[str, object]:
+def _parse_config_file(path: str | Path) -> dict[str, object]:
     """Read ``key = value`` pairs; unknown keys raise :class:`ConfigError`."""
     type_map = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
     out: dict[str, object] = {}
@@ -165,7 +165,7 @@ def load_config(
     model: str | None = None,
 ) -> RunConfig:
     """Defaults, overlaid by the config file, overlaid by CLI overrides."""
-    values = parse_config_file(path) if path is not None else {}
+    values = _parse_config_file(path) if path is not None else {}
     config = replace(RunConfig(), **values)
     if seed is not None:
         config = replace(config, seed=seed)

@@ -78,8 +78,8 @@ class ProbePair:
     amps_hot: ModalAmplitudes | None = None
     amps_cold: ModalAmplitudes | None = None
 
-    def default_time_grid(self, points: int = 2000) -> np.ndarray:
-        return np.linspace(0.0, 10.0 / self.slow_rate, points)
+    def default_time_grid(self) -> np.ndarray:
+        return np.linspace(0.0, 10.0 / self.slow_rate, 2000)
 
     def detect(
         self, delta_tol: float = 0.0, times: Sequence[float] | np.ndarray | None = None

@@ -9,7 +9,8 @@ information comparisons elsewhere in the package.
 
 The three distances (|p - p_eq| for scalar states, euclidean and total
 variation for population vectors) are written once, in
-:func:`distance_series`; :func:`thermal_distance` is its one-row case.
+:func:`distance_series`; :func:`thermal_distance` is its one-row case.  Every
+caller names the norm, as a pair names its own; none is inferred from the states.
 :func:`detect_inversion` takes both trajectories as callables of time: one
 call each on the whole grid, then float calls while bisecting the bracketing
 interval.
@@ -75,28 +76,25 @@ class HierarchyReport:
         return bool(np.all(self.hot_gt_cold) and np.all(self.cold_ge_eq))
 
 
-def _norm_for(values: np.ndarray, norm_kind: str | None) -> str:
-    """Which distance fits: scalar_abs for a 1-D series of scalar states, a
-    vector norm (euclidean unless given) for 2-D population rows."""
-    vector = values.ndim == 2
-    if norm_kind is None:
-        return "euclidean" if vector else "scalar_abs"
+def _check_norm(values: np.ndarray, norm_kind: str) -> None:
+    """Reject a norm that is unknown or does not fit ``values``: scalar_abs fits a
+    1-D series of scalar states, euclidean and total_variation 2-D population rows."""
     if norm_kind not in _NORM_KINDS:
         raise ValueError(f"unknown norm_kind {norm_kind!r}; expected one of {_NORM_KINDS}")
+    vector = values.ndim == 2
     if (norm_kind == "scalar_abs") == vector:
         states = "population vectors" if vector else "scalar states"
         raise ValueError(f"norm_kind {norm_kind!r} does not fit {states}")
-    return norm_kind
 
 
-def distance_series(values, equilibrium, norm_kind: str | None = None) -> np.ndarray:
+def distance_series(values, equilibrium, norm_kind: str) -> np.ndarray:
     """Distance from equilibrium at each time: the one place the distances live.
 
-    ``values`` is a series of scalar states (|p - p_eq| each) or of stacked
-    population rows (the euclidean or total-variation norm of each row).
+    ``values`` is a series of scalar states (``scalar_abs``: |p - p_eq| each) or of
+    stacked population rows (the ``euclidean`` or ``total_variation`` norm of each).
     """
     arr = np.asarray(values, dtype=float)
-    norm_kind = _norm_for(arr, norm_kind)
+    _check_norm(arr, norm_kind)
     if norm_kind == "scalar_abs":
         return np.abs(arr - float(equilibrium))
     diff = arr - np.asarray(equilibrium, dtype=float)[None, :]
@@ -105,7 +103,7 @@ def distance_series(values, equilibrium, norm_kind: str | None = None) -> np.nda
     return 0.5 * np.abs(diff).sum(axis=1)
 
 
-def thermal_distance(state, equilibrium, norm_kind: str | None = None) -> float:
+def thermal_distance(state, equilibrium, norm_kind: str) -> float:
     """Distance of one state from equilibrium: the one-row :func:`distance_series`."""
     return float(distance_series(np.asarray(state, dtype=float)[None], equilibrium, norm_kind)[0])
 
@@ -116,9 +114,10 @@ def detect_inversion(
     equilibrium,
     times: Sequence[float] | np.ndarray,
     delta_tol: float = 0.0,
-    norm_kind: str | None = None,
+    *,
+    norm_kind: str,
 ) -> InversionRecord:
-    """Scan for the first time D_hot < D_cold - delta_tol on a grid.
+    """Scan for the first time D_hot < D_cold - delta_tol on a grid, in ``norm_kind``.
 
     ``hot`` and ``cold`` map times to states.  Each receives the whole grid
     once and returns one state per time (a scalar or a population row); the
@@ -134,7 +133,6 @@ def detect_inversion(
     cold_values = np.asarray(cold(times), dtype=float)
     if hot_values.shape[0] != times.size or cold_values.shape[0] != times.size:
         raise ValueError("trajectory length does not match the time grid")
-    norm_kind = _norm_for(hot_values, norm_kind)
     d_hot = distance_series(hot_values, equilibrium, norm_kind)
     d_cold = distance_series(cold_values, equilibrium, norm_kind)
 

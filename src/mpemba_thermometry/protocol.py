@@ -24,8 +24,8 @@ without building a generator or repeating a check per cell.  A stage that
 stops early, as the inversion map does at its first crossing, draws no cell
 past it.  Seeds and cells are Philox key words, so both must lie in
 [0, 2**64).  The sampled Fisher map fits all its rows, in both monotone
-directions, with one lock-step pool-adjacent-violators pass; ``pav_isotonic``
-is that pass's one-row case.
+directions, with one lock-step pool-adjacent-violators pass; ``pav_isotonic``,
+the calibration's weighted non-decreasing fit, is that pass's one-row case.
 
 ``shots = 0`` selects the noiseless idealization, and the sampler alone
 decides it: a draw returns the exact model population as the successes of
@@ -325,22 +325,19 @@ def _pav_rows(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def pav_isotonic(
-    values: Sequence[float] | np.ndarray,
-    weights: Sequence[float] | np.ndarray | None = None,
-    increasing: bool = True,
+    values: Sequence[float] | np.ndarray, weights: Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """Weighted least-squares isotonic fit by pool-adjacent-violators."""
+    """Weighted least-squares non-decreasing fit by pool-adjacent-violators (the
+    non-increasing fit of ``y`` is ``-pav_isotonic(-y, weights)``)."""
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("values must be a non-empty 1-d array")
     if not np.all(np.isfinite(y)):
         raise ValueError("values must be finite")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape != y.shape or not np.all((w > 0) & np.isfinite(w)):
         raise ValueError("weights must be finite, positive and match values in shape")
-    if increasing:
-        return _pav_rows(y[None], w[None])[0]
-    return -_pav_rows(-y[None], w[None])[0]
+    return _pav_rows(y[None], w[None])[0]
 
 
 def calibrate_equilibrium(
@@ -371,18 +368,18 @@ def dynamical_calibration(
     shots: int,
     seed: int,
     delta_policy: str | float = "3se",
-) -> dict[float, float | None]:
+) -> list[float | None]:
     """Empirical crossing times from finite-shot distance comparisons.
 
     For each temperature T, the measured level of both preparations of
     ``probe_at(T)`` is sampled along the time grid together with an
     equilibrium reference, and the first grid time where D_hot < D_cold - delta
-    is recorded (None when no crossing clears the margin).  The default margin
-    policy ``"3se"`` sets delta to three combined binomial standard errors,
-    with frequencies clipped to [1/(2 shots), 1 - 1/(2 shots)] so empty cells
-    do not produce a zero margin; a float sets a constant margin; the
-    noiseless mode (shots = 0) uses delta = 0.  The temperatures must be
-    strictly increasing, the rule of every scan grid: each keys its own entry.
+    is listed, in temperature order (None when no crossing clears the margin).
+    The default margin policy ``"3se"`` sets delta to three combined binomial
+    standard errors, with frequencies clipped to [1/(2 shots), 1 - 1/(2 shots)]
+    so empty cells do not produce a zero margin; a float sets a constant
+    margin; the noiseless mode (shots = 0) uses delta = 0.  The temperatures
+    must be strictly increasing, the rule of every scan grid.
 
     Cell layout per temperature j, with M time points: equilibrium reference
     at ``CELLS_DYNAMICAL + j (2 M + 1)``, then hot/cold pairs at the following
@@ -416,7 +413,7 @@ def dynamical_calibration(
     delta = 0.0 if shots == 0 or three_se else float(delta_policy)
     lo = 1.0 / (2.0 * shots) if three_se else 0.0
     hi = 1.0 - lo
-    out: dict[float, float | None] = {}
+    out: list[float | None] = []
     stride = 2 * times.size + 1
     for j, temp in enumerate(temps.tolist()):
         pair = probe_at(temp)
@@ -440,7 +437,7 @@ def dynamical_calibration(
                 if d_hot < d_cold - delta:
                     crossing = t
                     break
-        out[temp] = crossing
+        out.append(crossing)
     return out
 
 

@@ -231,11 +231,15 @@ def build_lambda_rate_matrix(
 
 
 def validate_rate_matrix(rate_matrix: RateMatrix) -> None:
-    """Check column sums, off-diagonal signs, and detailed balance against pi."""
+    """Check finite entries (first: NaN fails no later comparison), column sums,
+    off-diagonal signs, and detailed balance against pi."""
     r = rate_matrix.entries
     n = r.shape[0]
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise RateMatrixError(f"entries must be square, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        i, j = np.argwhere(~np.isfinite(r))[0].tolist()
+        raise RateMatrixError(f"rate matrix entry ({i}, {j}) is {r[i, j]}, not finite")
     scale = max(1.0, float(np.max(np.abs(r))))
     col_sums = np.abs(r.sum(axis=0))
     if col_sums.max() > 1e-12 * scale:

@@ -1,11 +1,14 @@
-"""Public API hygiene: every exported name resolves, and every public function
-or class a module defines is exported, so stale exports cannot survive a
-deletion and new public names cannot go unlisted."""
+"""Public API hygiene: every exported name resolves, every public function
+or class a module defines is exported, and every public function is named
+outside its module, so stale exports cannot survive a deletion, new public
+names cannot go unlisted and no export lives without a caller."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,45 @@ def test_every_public_definition_is_exported(module):
     }
     unlisted = sorted(defined - set(module.__all__))
     assert not unlisted, f"{module.__name__} defines public names missing from __all__: {unlisted}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@cache
+def referenced_names(path: Path) -> frozenset[str]:
+    """The identifiers ``path`` names: ``Name`` nodes, ``Attribute`` attrs, and the
+    imported name and local name of each import alias."""
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name.rsplit(".", 1)[-1], node.asname or node.name})
+    return frozenset(named)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_public_function_has_a_caller_outside_its_module(module):
+    # a function only its own module (or the package's re-exports) names is
+    # a setting without a caller: it should be private or gone
+    own = ROOT / "src" / Path(*module.__name__.split(".")).with_suffix(".py")
+    outside = set()
+    for folder in ("src", "perfbench", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if path != own and path.name != "__init__.py":
+                outside |= referenced_names(path)
+    public = [
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+    ]
+    uncalled = sorted(set(public) - outside)
+    assert not uncalled, f"{module.__name__} exports functions nothing else names: {uncalled}"
 
 
 def package_imports(module) -> list[str]:
@@ -139,14 +181,7 @@ def test_cli_binds_no_qubit_closed_form():
         "qfi_qubit_closed_form",
         "qfi_equilibrium",
     }
-    named = set()
-    for node in ast.walk(ast.parse(inspect.getsource(cli))):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-        elif isinstance(node, ast.alias):
-            named.add(node.asname or node.name.rsplit(".", 1)[-1])
+    named = referenced_names(Path(inspect.getfile(cli)))
     assert not named & closed_forms, f"cli.py names {sorted(named & closed_forms)}"
 
 

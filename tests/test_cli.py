@@ -674,6 +674,31 @@ class TestExitCodes:
         assert code == 3
         assert "stationary population of level 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["relax", "qfi", "theorem", "protocol"])
+    def test_non_finite_generator_is_numerical_failure(self, tmp_path, capsys, command):
+        # kappa = 1e308 overflows the ladder's rates to +-inf; the generator
+        # check names the first bad entry before any sum can warn
+        cfg = write_config(
+            tmp_path, "model = lambda\nkappa1 = 1e308\nkappa2 = 1e308\ntemperature = 5\n"
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        if command != "protocol":
+            assert err == "numerical failure: rate matrix entry (0, 0) is -inf, not finite\n"
+            assert not out.exists()
+            return
+        # the first calibration knot, T = 0.3, holds its first -inf on the diagonal
+        failure = "rate matrix entry (2, 2) is -inf, not finite"
+        assert err == f"protocol step calibration failed: {failure}\n"
+        assert (out / "manifest.txt").read_text().splitlines() == [
+            f"step_calibration = failed: {failure}",
+            "step_inversion_map = skipped",
+            "step_fisher_map = skipped",
+            "step_estimate = skipped",
+        ]
+        assert [path.name for path in out.iterdir()] == ["manifest.txt"]
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # omega0/T = 1000: the equilibrium reference of the gain is deterministic
         # while its sensitivity is not defined past the cold cutoff
@@ -683,6 +708,48 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure: equilibrium population 0 is deterministic" in err
+
+
+class TestColdLimit:
+    """omega0/T = e3/T = 1000, past the qubit's overflow cutoff of 700."""
+
+    CONFIG = "temperature = 0.001\n"
+
+    def test_qubit_theorem_is_numerical_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIG)
+        with pytest.warns(ColdLimitWarning):
+            code = main(["theorem", "--config", cfg, "--output", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: equilibrium population 0 is deterministic" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_qubit_protocol_estimates_at_the_lower_bound(self, tmp_path):
+        # the calibrated knots start at 0.3, so the likelihood peaks on the
+        # search interval's lower end, 0.5 calib_t_min = 0.15
+        cfg = write_config(tmp_path, self.CONFIG)
+        with pytest.warns(ColdLimitWarning), pytest.warns(BoundaryMaximumWarning):
+            code = main(["protocol", "--config", cfg, "--output", str(tmp_path)])
+        assert code == 0
+        _, rows, _ = read_table(tmp_path / "estimate.csv")
+        assert abs(float(rows[0][0]) - 0.15) < 1e-9
+        assert (tmp_path / "manifest.txt").read_text().splitlines()[-1] == "step_estimate = ok"
+
+    def test_ladder_protocol_fails_at_the_estimate(self, tmp_path, capsys):
+        # the calibration knots are warm; only the thermalized probe at the
+        # bath temperature underflows its top level
+        cfg = write_config(tmp_path, "model = lambda\n" + self.CONFIG)
+        with pytest.warns(ColdLimitWarning):
+            code = main(["protocol", "--config", cfg, "--output", str(tmp_path)])
+        assert code == 3
+        failure = "stationary population of level 3 is 0, below the smallest normal float"
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert manifest[:3] == [
+            "step_calibration = ok", "step_inversion_map = ok", "step_fisher_map = ok"
+        ]
+        assert manifest[3].startswith(f"step_estimate = failed: {failure}")
+        assert f"protocol step estimate failed: {failure}" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.csv").exists()
 
 
 def test_float_table_writes_the_bytes_of_fmt():

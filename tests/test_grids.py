@@ -214,6 +214,7 @@ SCANS = {
             PAIRS["qubit"].cold_population,
             PAIRS["qubit"].equilibrium,
             grid,
+            norm_kind="scalar_abs",
         ),
         "times",
         2,

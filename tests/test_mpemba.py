@@ -124,7 +124,7 @@ class TestProbe:
         assert np.array_equal(thermal.fisher(times), np.full(times.shape, f_eq))
 
     def test_ladder_probe_reads_the_top_level(self, ladder_matrix, ladder_pair):
-        times = ladder_pair.default_time_grid(50)
+        times = np.linspace(0.0, 10.0 / ladder_pair.slow_rate, 50)
         hot = make_lambda_probe(ladder_matrix, LADDER_HOT)
         p = ladder_pair.hot_population(times)[:, -1]
         dp = dT_populations_modal(
@@ -149,11 +149,11 @@ class TestProbe:
 
 
 class TestThermalDistance:
-    def test_scalar_default(self):
-        assert thermal_distance(0.9, 0.12) == pytest.approx(0.78)
+    def test_scalar_abs(self):
+        assert thermal_distance(0.9, 0.12, "scalar_abs") == pytest.approx(0.78)
 
-    def test_vector_default_is_euclidean(self):
-        d = thermal_distance(np.array([0.5, 0.5, 0.0]), np.array([0.4, 0.4, 0.2]))
+    def test_euclidean(self):
+        d = thermal_distance(np.array([0.5, 0.5, 0.0]), np.array([0.4, 0.4, 0.2]), "euclidean")
         assert d == pytest.approx(math.sqrt(0.01 + 0.01 + 0.04), rel=1e-12)
 
     def test_total_variation(self):
@@ -163,6 +163,14 @@ class TestThermalDistance:
             norm_kind="total_variation",
         )
         assert d == pytest.approx(0.2, rel=1e-12)
+
+    def test_no_norm_is_inferred(self):
+        # every caller names the distance; none is read off the states' shape
+        for distance in (thermal_distance, distance_series):
+            with pytest.raises(TypeError):
+                distance(0.9, 0.12)
+        with pytest.raises(TypeError):
+            detect_inversion(np.asarray, np.asarray, 0.0, [0.0, 1.0])
 
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError):
@@ -266,6 +274,7 @@ class TestDetectInversion:
                 canonical_pair.hot_population,
                 canonical_pair.equilibrium,
                 times,
+                norm_kind="scalar_abs",
             )
 
     def test_tolerance_suppresses_marginal_crossings(self, canonical_pair):
@@ -278,9 +287,9 @@ class TestDetectInversion:
         self, model, canonical_pair, ladder_pair
     ):
         pair = canonical_pair if model == "qubit" else ladder_pair
-        times = pair.default_time_grid(400)
+        times = np.linspace(0.0, 10.0 / pair.slow_rate, 400)
         hot, cold = Recorder(pair.hot_population), Recorder(pair.cold_population)
-        record = detect_inversion(hot, cold, pair.equilibrium, times)
+        record = detect_inversion(hot, cold, pair.equilibrium, times, norm_kind=pair.norm_kind)
         assert record.t_star == pair.detect(times=times).t_star
         first = int(np.searchsorted(times, record.t_star))
         for recorder in (hot, cold):
@@ -298,6 +307,7 @@ class TestDetectInversion:
             lambda t: np.ones_like(np.asarray(t)),
             0.0,
             [0.0, 0.5, 1.0],
+            norm_kind="scalar_abs",
         )
         assert record.t_star == 0.5
         assert record.persistent is True
@@ -307,9 +317,13 @@ class TestDetectInversion:
     def test_larger_deadband_never_detects_earlier(self, delta):
         pair = make_qubit_pair(QubitBathParams(**CANONICAL), P0_HOT, P0_COLD)
         times = np.linspace(0.0, 8.0, 400)
-        base = detect_inversion(pair.hot_population, pair.cold_population, pair.equilibrium, times)
+        base = detect_inversion(
+            pair.hot_population, pair.cold_population, pair.equilibrium, times,
+            norm_kind="scalar_abs",
+        )
         widened = detect_inversion(
-            pair.hot_population, pair.cold_population, pair.equilibrium, times, delta_tol=delta
+            pair.hot_population, pair.cold_population, pair.equilibrium, times, delta_tol=delta,
+            norm_kind="scalar_abs",
         )
         if widened.detected:
             assert base.detected

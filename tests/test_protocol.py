@@ -339,10 +339,10 @@ class TestSamplingStreams:
 class TestIsotonicFit:
     def test_sorted_input_unchanged(self):
         y = np.array([0.1, 0.2, 0.2, 0.5])
-        assert np.array_equal(pav_isotonic(y), y)
+        assert np.array_equal(pav_isotonic(y, np.ones(4)), y)
 
     def test_simple_violation_pooled(self):
-        out = pav_isotonic(np.array([3.0, 1.0, 2.0]))
+        out = pav_isotonic(np.array([3.0, 1.0, 2.0]), np.ones(3))
         assert np.allclose(out, [2.0, 2.0, 2.0], rtol=0, atol=1e-15)
 
     def test_weighted_pool(self):
@@ -350,7 +350,7 @@ class TestIsotonicFit:
         assert np.allclose(out, [1.0, 7 / 3, 7 / 3], rtol=0, atol=1e-14)
 
     def test_decreasing_direction(self):
-        out = pav_isotonic(np.array([1.0, 3.0, 2.0]), increasing=False)
+        out = -pav_isotonic(-np.array([1.0, 3.0, 2.0]), np.ones(3))
         assert np.all(np.diff(out) <= 0)
 
     @given(
@@ -359,15 +359,15 @@ class TestIsotonicFit:
     @settings(max_examples=80)
     def test_output_monotone_mean_preserving_idempotent(self, raw):
         y = np.asarray(raw)
-        out = pav_isotonic(y)
+        out = pav_isotonic(y, np.ones(y.size))
         assert np.all(np.diff(out) >= -1e-12)
         assert out.mean() == pytest.approx(y.mean(), rel=1e-9, abs=1e-9)
-        assert np.allclose(pav_isotonic(out), out, rtol=0, atol=1e-12)
+        assert np.allclose(pav_isotonic(out, np.ones(y.size)), out, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "values, weights",
-        [([1.0, 2.0], [math.nan, 1.0]), ([3.0, math.nan, 1.0], None),
-         ([1.0, 2.0], [math.inf, 1.0]), ([math.inf, 0.0], None)],
+        [([1.0, 2.0], [math.nan, 1.0]), ([3.0, math.nan, 1.0], np.ones(3)),
+         ([1.0, 2.0], [math.inf, 1.0]), ([math.inf, 0.0], np.ones(2))],
         ids=["nan-weight", "nan-value", "inf-weight", "inf-value"],
     )
     def test_non_finite_input_rejected(self, values, weights):
@@ -408,7 +408,7 @@ class TestIsotonicFit:
 
         for row in y:
             for increasing in (True, False):
-                got = pav_isotonic(row, None if weights is None else w, increasing=increasing)
+                got = pav_isotonic(row, w) if increasing else -pav_isotonic(-row, w)
                 assert bits(got) == bits(reference_pav(row, w, increasing))
         # the Fisher map's layout: every row, then every row negated
         stacked = np.vstack([y, -y])
@@ -461,7 +461,7 @@ def reference_dynamical_calibration(
         drawn.append(cell)
         return p if shots == 0 else sampled_frequency(p, shots, seed, cell)
 
-    out = {}
+    out = []
     stride = 2 * len(grid) + 1
     for j, temp in enumerate(temps):
         params = factory(float(temp))
@@ -483,7 +483,7 @@ def reference_dynamical_calibration(
             if abs(hot - p_eq) < abs(cold - p_eq) - delta:
                 crossing = float(t)
                 break
-        out[float(temp)] = crossing
+        out.append(crossing)
     return out, drawn
 
 
@@ -516,7 +516,7 @@ class TestDynamicalCalibration:
     def test_noiseless_crossing_matches_grid_resolution(self):
         out = dynamical_calibration(qubit_probe(self.FACTORY), [0.5], self.GRID, shots=0, seed=0)
         # exact crossing 1.36715...; first grid time strictly past it is 1.4
-        assert out[0.5] == pytest.approx(1.4, abs=1e-12)
+        assert out[0] == pytest.approx(1.4, abs=1e-12)
 
     @pytest.mark.parametrize("factory", ["FACTORY", "NO_FEEDBACK"])
     @pytest.mark.parametrize("temp", [0.35, 0.5, 0.8])
@@ -531,13 +531,13 @@ class TestDynamicalCalibration:
         out = dynamical_calibration(
             qubit_probe(getattr(self, factory)), [temp], self.GRID, shots=0, seed=0
         )
-        assert out == {temp: expected}
+        assert out == [expected]
 
     def test_no_feedback_never_crosses(self):
         out = dynamical_calibration(
             qubit_probe(self.NO_FEEDBACK), [0.5], self.GRID, shots=0, seed=0
         )
-        assert out[0.5] is None
+        assert out[0] is None
 
     def test_sampled_margin_policy_vetoes_shallow_crossing(self):
         # the true distance gap (~3e-3) is far below three binomial standard
@@ -545,7 +545,7 @@ class TestDynamicalCalibration:
         out = dynamical_calibration(
             qubit_probe(self.FACTORY), [0.4, 0.5, 0.6], self.GRID, shots=10_000, seed=42
         )
-        assert out == {0.4: None, 0.5: None, 0.6: None}
+        assert out == [None, None, None]
 
     def test_zero_margin_produces_false_positives(self):
         # same shot budget, no margin, no true crossing: sampling noise alone
@@ -554,7 +554,7 @@ class TestDynamicalCalibration:
             qubit_probe(self.NO_FEEDBACK), [0.5], self.GRID, shots=10_000, seed=42,
             delta_policy=0.0,
         )
-        assert out[0.5] is not None
+        assert out[0] is not None
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -749,7 +749,7 @@ class TestStageBlocks:
         hot, cold = [0.9, 0.5, 0.5, 0.5, 0.5], [0.1, 0.1, 0.1, 0.1, 0.1]
         # the clean pair crosses at the second time and draws nothing past it
         out = dynamical_calibration(lambda T: flat_pair(0.5, hot, cold), [0.5], self.GRID, 0, 2)
-        assert out == {0.5: 0.25}
+        assert out == [0.25]
         assert drawn == list(range(CELLS_DYNAMICAL, CELLS_DYNAMICAL + 5))
         drawn.clear()
         # a bad value after that crossing was never reached per cell; the block sees it

@@ -2,6 +2,8 @@
 first-order temperature response, all pinned to frozen references and checked
 against the independent integrator / finite-difference oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from mpemba_thermometry.qubit import ColdLimitWarning
 from mpemba_thermometry.spectral import (
     DegenerateSpectrumError,
     RateMatrix,
+    RateMatrixError,
     SimplexError,
     SpectralDecomposition,
     amplitudes_with_derivatives,
@@ -87,6 +90,29 @@ class TestConstruction:
         )
         with pytest.raises(Exception):
             validate_rate_matrix(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (2, 2)])
+    def test_non_finite_entry_is_rejected_first(self, ladder, bad, where):
+        # NaN fails every later comparison and opposite infinities sum to NaN,
+        # so finiteness is checked before any sum (a RuntimeWarning fails here)
+        entries = ladder.entries.copy()
+        entries[where] = bad
+        matrix = RateMatrix(entries, ladder.energies, ladder.temperature)
+        expected = f"rate matrix entry ({where[0]}, {where[1]}) is {bad}, not finite"
+        with pytest.raises(RateMatrixError, match=re.escape(expected)):
+            validate_rate_matrix(matrix)
+
+    def test_all_nan_matrix_names_its_first_entry(self, ladder):
+        matrix = RateMatrix(np.full((3, 3), np.nan), ladder.energies, ladder.temperature)
+        with pytest.raises(RateMatrixError, match=re.escape("entry (0, 0) is nan")):
+            validate_rate_matrix(matrix)
+
+    def test_overflowing_rates_fail_the_decomposition(self):
+        # kappa = 1e308 times a Bose factor above 1 overflows to +-inf
+        matrix = build_lambda_rate_matrix(0.0, 0.0, 1.0, 1e308, 1e308, 5.0)
+        with pytest.raises(RateMatrixError, match=re.escape("entry (0, 0) is -inf")):
+            decompose(matrix)
 
     def test_qubit_matrix_reduces_to_two_level_model(self):
         from mpemba_thermometry import QubitBathParams, thermal_quantities
