@@ -20,9 +20,11 @@ pair's own norm and checks the Fisher hierarchy only when there is one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -139,10 +141,35 @@ def _instance_constants(
 
     The keys are the :class:`LemmaConstants` fields except m_low and m_high
     (which need a neighbourhood), plus the pieces the lemmas combine: c_r1,
-    c_r2, w2_norm, delta_norm (||p0 - pi||) and d_pi_norm (||dT pi||).
+    c_r2, w2_norm, delta_norm (||p0 - pi||) and d_pi_norm (||dT pi||).  Only
+    c_r1, and c_r through it, depend on t; the rest comes from
+    :func:`_time_free_constants`, once per instance.
     """
+    c = _time_free_constants(decomposition, derivatives, amplitudes)
     n = decomposition.dim
+    a_max, v_max, lambda_t, c_r2 = c["a_max"], c["v_max"], c["lambda_t"], c["c_r2"]
+    c_r1 = v_max * (n - 2) * c["c1"] + v_max * t * lambda_t * (n - 2) * a_max
+    c_r = max(c_r1, c_r2 / a_max) if a_max > 1e-300 else c_r1
+    return {**c, "c_r1": c_r1, "c_r": c_r}
+
+
+@functools.lru_cache(maxsize=8)
+def _time_free_constants(
+    decomposition: SpectralDecomposition,
+    derivatives: SpectralDerivatives,
+    amplitudes: ModalAmplitudes,
+) -> Mapping[str, float]:
+    """The bounding constants of one instance that do not depend on t.
+
+    The result is cached per instance, so the lemma certificates at several
+    times of one instance compute it once.  The three argument types are
+    frozen dataclasses with ``eq=False``: they hash and compare by identity,
+    so two distinct instances never share an entry, and a key's id cannot be
+    reused while the cache holds it.  The arrays they carry are treated as
+    immutable.  The mapping is read-only, because every caller shares it.
+    """
     lam = decomposition.eigenvalues
+    n = lam.size
     right = decomposition.right_modes
     left = decomposition.left_modes
     a = amplitudes.amplitudes
@@ -157,7 +184,6 @@ def _instance_constants(
     d_pi_norm = float(np.linalg.norm(derivatives.d_stationary))
     max_dw = float(np.max(np.linalg.norm(derivatives.d_left_modes[:, 1:], axis=0)))
     c1 = max_dw * delta_norm + w_op_norm * d_pi_norm
-    c_r1 = v_max * (n - 2) * c1 + v_max * t * lambda_t * (n - 2) * a_max
     c_r2 = (n - 1) * a_max * v_prime_max
 
     # perturbation sums of the slow mode (index 1), stationary mode included
@@ -165,27 +191,27 @@ def _instance_constants(
     v_norms = np.linalg.norm(right, axis=0)
     others = [j for j in range(n) if j != 1]
     gaps = lam[others] - lam[1]
-    return {
-        "a_max": a_max,
-        "v_max": v_max,
-        "v_prime_max": v_prime_max,
-        "gap_delta": float(lam[2] - lam[1]),
-        "lambda_max": float(lam[-1]),
-        "lambda_t": lambda_t,
-        "r_t": float(np.linalg.norm(derivatives.d_rate_matrix, ord=2)),
-        "c1": c1,
-        "c_r": max(c_r1, c_r2 / a_max) if a_max > 1e-300 else c_r1,
-        "w_norm": float(np.sqrt(np.sum(w_norms[others] ** 2))),
-        "d2": float(np.sqrt(np.sum((w_norms[others] / gaps) ** 2))),
-        "e2": float(np.sqrt(np.sum((v_norms[others] / gaps) ** 2))),
-        "w_op_norm": w_op_norm,
-        "v_op_norm": float(np.linalg.norm(right[:, 1:], ord=2)),
-        "c_r1": c_r1,
-        "c_r2": c_r2,
-        "w2_norm": float(w_norms[1]),
-        "delta_norm": delta_norm,
-        "d_pi_norm": d_pi_norm,
-    }
+    return MappingProxyType(
+        {
+            "a_max": a_max,
+            "v_max": v_max,
+            "v_prime_max": v_prime_max,
+            "gap_delta": float(lam[2] - lam[1]),
+            "lambda_max": float(lam[-1]),
+            "lambda_t": lambda_t,
+            "r_t": float(np.linalg.norm(derivatives.d_rate_matrix, ord=2)),
+            "c1": c1,
+            "w_norm": float(np.sqrt(np.sum(w_norms[others] ** 2))),
+            "d2": float(np.sqrt(np.sum((w_norms[others] / gaps) ** 2))),
+            "e2": float(np.sqrt(np.sum((v_norms[others] / gaps) ** 2))),
+            "w_op_norm": w_op_norm,
+            "v_op_norm": float(np.linalg.norm(right[:, 1:], ord=2)),
+            "c_r2": c_r2,
+            "w2_norm": float(w_norms[1]),
+            "delta_norm": delta_norm,
+            "d_pi_norm": d_pi_norm,
+        }
+    )
 
 
 def compute_lemma_constants(

@@ -575,9 +575,16 @@ def mle_temperature(
     ``population_fn(time, T)`` must model every supplied record (single
     preparation per call; estimate heterogeneous record sets with separate
     closures).  A 64-point scan brackets the maximum between the neighbours of
-    its best temperature.  For one record of k successes in n shots, with k/n
-    inside the likelihood clamp (1e-12, 1 - 1e-12), the likelihood is largest
-    exactly where p(T) = k/n, so a root of p(T) - k/n is a global maximizer.
+    its best temperature.  A model value on the scan that is not finite
+    raises :class:`DegenerateModelError` naming the first one, and so do
+    model values that are constant over the interval.  The scan scores its 64
+    temperatures in one array expression with ``np.log``; the refinement and
+    the reported ``log_likelihood`` use the scalar rule with ``math.log``.
+    The two can differ by an ulp, and the scan's scores only pick the best
+    temperature and flag a multimodal likelihood.  For one record of k
+    successes in n shots, with k/n inside the likelihood clamp
+    (1e-12, 1 - 1e-12), the likelihood is largest exactly where p(T) = k/n,
+    so a root of p(T) - k/n is a global maximizer.
     When the scan's model values at the bracket ends straddle k/n (or one
     equals it), Brent's root finder refines the estimate to the last bits in
     a few model calls; a model value that is not finite there raises
@@ -611,18 +618,30 @@ def mle_temperature(
         return records_log_likelihood(population_fn(rec.time, temp) for rec in records)
 
     grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
-    # one model column per record, shared by the degeneracy test and the scan
+    scan_temps = grid.tolist()
+    # one model column per record, shared by the checks, the scan and the root
     columns = np.array(
-        [[population_fn(rec.time, float(temp)) for temp in grid] for rec in records]
+        [[population_fn(rec.time, temp) for temp in scan_temps] for rec in records]
     )
-    model_spread = max(0.0, *(float(column.max() - column.min()) for column in columns))
+    non_finite = np.flatnonzero(~np.isfinite(columns))
+    if non_finite.size:
+        r, g = divmod(int(non_finite[0]), _SCAN_POINTS)
+        raise DegenerateModelError(
+            f"model population {columns[r, g]} at temperature {scan_temps[g]!r} is not "
+            "finite; the likelihood cannot be scanned"
+        )
+    model_spread = max(float(column.max() - column.min()) for column in columns)
     if model_spread < 1e-14:
         raise DegenerateModelError(
             "model populations are constant over the search interval; "
             "temperature is unidentifiable"
         )
 
-    scores = np.array([records_log_likelihood(columns[:, g]) for g in range(_SCAN_POINTS)])
+    # the scalar rule of records_log_likelihood at every scan point at once
+    successes = np.array([[float(rec.successes)] for rec in records])
+    failures = np.array([[float(rec.shots - rec.successes)] for rec in records])
+    p = np.minimum(np.maximum(columns, _P_CLAMP), 1.0 - _P_CLAMP)
+    scores = np.add.reduce(successes * np.log(p) + failures * np.log(1.0 - p), axis=0)
     interior = np.flatnonzero(
         (scores[1:-1] >= scores[:-2]) & (scores[1:-1] >= scores[2:])
     )

@@ -151,13 +151,18 @@ class ModalAmplitudes:
 
 
 def gibbs_vector(energies: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized Boltzmann weights exp(-E_i / T), overflow-safe."""
-    if temperature <= 0:
+    """Normalized Boltzmann weights exp(-E_i / T), overflow-safe.
+
+    The energies are shifted by their minimum, so the largest weight is 1.
+    The exponent is (E_i - E_min) / -T, which equals -(E_i - E_min) / T bit
+    for bit in IEEE arithmetic.  A temperature that is not positive, NaN
+    included, raises, by the rule of :func:`~mpemba_thermometry.qubit.bose_occupation`.
+    """
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     energies = np.asarray(energies, dtype=float)
-    shifted = energies - energies.min()
-    weights = np.exp(-shifted / temperature)
-    return weights / weights.sum()
+    weights = np.exp((energies - np.minimum.reduce(energies, axis=None)) / -temperature)
+    return weights / np.add.reduce(weights, axis=None)
 
 
 def dT_gibbs_vector(energies: np.ndarray, temperature: float) -> np.ndarray:

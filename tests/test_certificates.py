@@ -3,12 +3,14 @@ sensitivity split, the per-lemma bounding inequalities, and the assembled
 verification record."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mpemba_thermometry import (
     QubitBathParams,
+    certificates,
     decompose,
     dT_populations_modal,
     make_lambda_pair,
@@ -202,6 +204,68 @@ class TestLemmaConstants:
         assert 0 < constants.m_low < constants.m_high
         assert constants.gap_delta > 0
         assert constants.lambda_max >= constants.lambda_t
+
+
+class TestInstanceConstantsCache:
+    """The time-free constants are computed once per instance and shared read-only."""
+
+    TIMES = (0.05, 0.6, 2.5)
+
+    @staticmethod
+    def certify(dec, der, amps, t):
+        cloud = np.vstack([dec.stationary, LADDER_COLD])
+        return (
+            lemma1_remainder_check(dec, amps, der, t),
+            lemma2_slow_mode(dec, amps, der, t),
+            compute_lemma_constants(dec, der, amps, t, cloud),
+        )
+
+    def test_cached_results_equal_fresh_ones_field_by_field(self, ladder_pieces):
+        _, dec, der, amps = ladder_pieces
+        certificates._time_free_constants.cache_clear()
+        warm = [self.certify(dec, der, amps, t) for t in self.TIMES]
+        # c_r depends on t through c_r1, so a cached time would show here
+        assert len({constants.c_r for _, _, constants in warm}) == len(self.TIMES)
+        for t, cached in zip(self.TIMES, warm):
+            certificates._time_free_constants.cache_clear()
+            fresh = self.certify(dec, der, amps, t)
+            for got, want in zip(cached, fresh):
+                for f in fields(want):
+                    # == on every field: the cache must not carry one time's c_r1 to another
+                    assert getattr(got, f.name) == getattr(want, f.name), (t, f.name)
+
+    def test_cached_mapping_is_read_only(self, ladder_pieces):
+        _, dec, der, amps = ladder_pieces
+        constants = certificates._time_free_constants(dec, der, amps)
+        with pytest.raises(TypeError):
+            constants["a_max"] = 0.0
+        assert certificates._time_free_constants(dec, der, amps) is constants
+
+    def test_distinct_instances_never_share_an_entry(self, ladder_matrix):
+        # two pairs built from the same inputs are equal in value, not in identity
+        first = make_lambda_pair(ladder_matrix, LADDER_HOT, LADDER_COLD)
+        second = make_lambda_pair(ladder_matrix, LADDER_HOT, LADDER_COLD)
+        certificates._time_free_constants.cache_clear()
+        for pair in (first, second):
+            certificates._time_free_constants(pair.decomposition, pair.derivatives, pair.amps_hot)
+        assert certificates._time_free_constants.cache_info().misses == 2
+
+    def test_lemma_sweep_computes_the_constants_once(self, ladder_pieces):
+        _, dec, der, amps = ladder_pieces
+        certificates._time_free_constants.cache_clear()
+        for t in self.TIMES:
+            lemma1_remainder_check(dec, amps, der, t)
+            lemma2_slow_mode(dec, amps, der, t)
+        info = certificates._time_free_constants.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(self.TIMES) - 1)
+
+    def test_verify_theorem_computes_the_constants_once(self, ladder_matrix):
+        pair = make_lambda_pair(ladder_matrix, [0.1, 0.2, 0.7], [0.1, 0.3, 0.6])
+        certificates._time_free_constants.cache_clear()
+        cert = verify_theorem(pair)
+        assert cert.lemma1 is not None and cert.lemma2 is not None
+        info = certificates._time_free_constants.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestVerifyTheorem:

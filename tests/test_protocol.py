@@ -32,7 +32,7 @@ from mpemba_thermometry.protocol import (
     sampling_stream,
 )
 from mpemba_thermometry.qubit import evolve_population, gibbs_population_qubit
-from mpemba_thermometry.spectral import gibbs_vector
+from mpemba_thermometry.spectral import dT_gibbs_vector, gibbs_vector
 
 
 def eq_model(t: float, temp: float) -> float:
@@ -111,6 +111,35 @@ def refuse(name: str):
         raise AssertionError(f"the {name} ran")
 
     return refused
+
+
+def refined_brackets(monkeypatch) -> list[tuple[float, float]]:
+    """Record the bracket that the root finder or the golden search is given."""
+    brackets: list[tuple[float, float]] = []
+    recording_root(monkeypatch, brackets)
+    golden = protocol._golden_section_maximize
+
+    def recording_golden(f, lo, hi, xtol):
+        brackets.append((lo, hi))
+        return golden(f, lo, hi, xtol)
+
+    monkeypatch.setattr(protocol, "_golden_section_maximize", recording_golden)
+    return brackets
+
+
+def scalar_scan(records, population_fn, interval) -> tuple[list[float], int, bool]:
+    """The scan grid, best index and multimodal flag by the scalar rule, one math.log at a time."""
+    grid = np.linspace(*interval, 64).tolist()
+    scores = []
+    for temp in grid:
+        total = 0.0
+        for rec in records:
+            p = min(max(population_fn(rec.time, temp), 1e-12), 1.0 - 1e-12)
+            total += rec.successes * math.log(p) + (rec.shots - rec.successes) * math.log(1.0 - p)
+        scores.append(total)
+    best = max(range(64), key=scores.__getitem__)  # the first maximum, as np.argmax
+    peaks = sum(scores[i - 1] <= scores[i] >= scores[i + 1] for i in range(1, 63))
+    return grid, best, peaks > 1
 
 
 def bisection_root(g, a: float, b: float, steps: int = 200) -> float:
@@ -806,6 +835,49 @@ class TestStageBlocks:
             assert small == large == {"_check_probability": 0, "_check_key": 1 + 2 * blocks}
 
 
+# (t_hat, stderr, log_likelihood) of mle_temperature before the scan was scored
+# as one array expression; the refinement and the reported values keep their bits
+FROZEN_ESTIMATES = {
+    "sampled_root": (0.5000406651248973, 0.0024400704603689213, -36536.80096541005),
+    "noiseless_root": (0.5, 0.771540317407622, -0.36533385508720767),
+    "no_successes": (0.20000000004489538, 0.049058315832171795, -0.671534849663003),
+    "two_records": (0.5002311769234558, 0.005458738549793336, -7310.559323478665),
+    "hot_probe": (0.4828387627998405, 0.01, -3665.2631575488394),
+    "ladder_top": (0.7798202347573564, 0.018593820736118146, -3704.960904018718),
+    "multimodal": (0.17453292519943286, 0.03162277660168379, -693.1471805599452),
+}
+
+
+def wavy_model(t: float, temp: float) -> float:
+    return 0.4 + 0.2 * math.sin(3.0 * temp)
+
+
+def frozen_case(name: str):
+    """(records, population_fn, interval, fisher_fn) of one frozen estimate."""
+
+    top = EQUILIBRIA["ladder"]
+
+    def top_fisher(t, T):
+        p = top(t, T)
+        return float(dT_gibbs_vector(LADDER_ENERGIES, T)[-1]) ** 2 / (p * (1.0 - p))
+
+    def unit(t, T):
+        return 1.0
+
+    qubit = (eq_model, (0.2, 1.0), eq_fisher)
+    hot_k = sample_population(hot_model(2.0, 0.5), 10_000, 5, 0).successes
+    top_record = sample_population(top(0.0, 0.8), 10_000, 11, 2)
+    return {
+        "sampled_root": ([sample_population(P_HALF, 100_000, 99, 3)], *qubit),
+        "noiseless_root": ([ShotRecord(1, P_HALF, 0.0, "equilibrium", 0)], *qubit),
+        "no_successes": ([ShotRecord(100, 0.0, 0.0, "equilibrium", 0)], *qubit),
+        "two_records": ([sample_population(P_HALF, 10_000, 17, c) for c in (0, 1)], *qubit),
+        "hot_probe": ([ShotRecord(10_000, hot_k, 2.0, "hot", 5)], hot_model, (0.2, 1.0), unit),
+        "ladder_top": ([top_record], top, (0.4, 1.2), top_fisher),
+        "multimodal": ([ShotRecord(1000, 500.0, 0.0, "hot", 0)], wavy_model, (0.05, 4.0), unit),
+    }[name]
+
+
 class TestMleTemperature:
     def test_noiseless_record_recovers_temperature(self):
         rec = ShotRecord(
@@ -959,6 +1031,84 @@ class TestMleTemperature:
             mle_temperature([rec], model, (0.2, 1.0), fisher_fn=eq_fisher)
         assert len(calls) == 65
         assert repr(calls[-1]) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "bad, bad_at, first",
+        [
+            (math.nan, lambda T: T == 1.0, 1.0),
+            (math.nan, lambda T: True, 0.2),
+            (math.inf, lambda T: T > 0.6, np.linspace(0.2, 1.0, 64)[32]),
+            (-math.inf, lambda T: T < 0.3, 0.2),
+        ],
+        ids=["nan_at_the_top", "nan_everywhere", "inf_upper_half", "minus_inf_low_end"],
+    )
+    def test_non_finite_model_on_the_scan_raises(self, bad, bad_at, first):
+        # the scan checks its model values before the spread test, which a NaN
+        # spread would pass as "constant" and an inf spread would pass silently
+        rec = ShotRecord(
+            shots=1000, successes=120.0, time=0.0, preparation="equilibrium", seed=0
+        )
+        model = lambda t, T: bad if bad_at(T) else eq_model(t, T)  # noqa: E731
+        with pytest.raises(DegenerateModelError, match="not finite") as info:
+            mle_temperature([rec], model, (0.2, 1.0), fisher_fn=eq_fisher)
+        message = str(info.value)
+        assert f"model population {bad} at temperature {float(first)!r}" in message
+        assert "constant" not in message
+
+    @pytest.mark.parametrize(
+        "population, interval",
+        [
+            (eq_model, (0.2, 1.0)),
+            (EQUILIBRIA["ladder"], (0.25, 0.75)),
+            (hot_model, (0.2, 1.0)),
+            (wavy_model, (0.05, 4.0)),
+        ],
+        ids=["qubit", "ladder", "hot_qubit", "multimodal"],
+    )
+    def test_scan_picks_the_scalar_rules_best_and_multimodal(
+        self, monkeypatch, population, interval
+    ):
+        time = 2.0 if population is hot_model else 0.0
+        cases = [(1, population(time, 0.5))]  # noiseless
+        for shots in (1, 100, 10_000):
+            cases += [(shots, float(k)) for k in sorted({0, 1, shots // 2, shots - 1, shots})]
+        brackets = refined_brackets(monkeypatch)
+        for shots, successes in cases:
+            records = [ShotRecord(shots, successes, time, "hot", 0)]
+            grid, best, multimodal = scalar_scan(records, population, interval)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundaryMaximumWarning)
+                warnings.simplefilter("ignore", MultimodalLikelihoodWarning)
+                res = mle_temperature(records, population, interval, fisher_fn=lambda t, T: 1.0)
+            assert brackets.pop() == (grid[max(best - 1, 0)], grid[min(best + 1, 63)])
+            assert res.multimodal == multimodal, (shots, successes)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_ESTIMATES))
+    def test_estimates_keep_their_bits(self, name):
+        records, population, interval, fisher = frozen_case(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMaximumWarning)
+            warnings.simplefilter("ignore", MultimodalLikelihoodWarning)
+            res = mle_temperature(records, population, interval, fisher_fn=fisher)
+        assert (res.t_hat, res.stderr, res.log_likelihood) == FROZEN_ESTIMATES[name]
+
+    @pytest.mark.parametrize("temp", [0.3, 0.8, 2.0])
+    def test_ladder_closure_makes_69_to_72_model_calls(self, temp):
+        # the library-validation closure: the ladder's equilibrium top level at
+        # 10^4 shots, estimated on (T/2, 3T/2); a count of work, not a timer
+        calls = []
+
+        def top_population(t, T):
+            calls.append(T)
+            return float(gibbs_vector(LADDER_ENERGIES, T)[-1])
+
+        for cell in range(4):
+            rec = sample_population(top_population(0.0, temp), 10_000, 31, cell)
+            calls.clear()
+            mle_temperature(
+                [rec], top_population, (0.5 * temp, 1.5 * temp), fisher_fn=lambda t, T: 1.0
+            )
+            assert 69 <= len(calls) <= 72
 
     def test_flat_model_is_unidentifiable(self):
         rec = ShotRecord(

@@ -125,6 +125,40 @@ class TestConstruction:
         assert dec.stationary[1] == pytest.approx(q.p_eq, rel=1e-13)
 
 
+class TestGibbsVector:
+    @staticmethod
+    def written_out(energies, temperature):
+        """The shift, negate, divide, normalise rule, one step per line."""
+        energies = np.asarray(energies, dtype=float)
+        shifted = energies - energies.min()
+        weights = np.exp(-shifted / temperature)
+        return weights / weights.sum()
+
+    @pytest.mark.parametrize(
+        "energies",
+        [
+            [0.0, 1.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.3, 1.1],
+            [-2.0, -0.7, 0.4],
+            [-1.0, -1.0],
+            [0.5, 0.5, 0.5],
+        ],
+        ids=["two_level", "tied_ladder", "ladder", "negative", "tied_pair", "all_tied"],
+    )
+    def test_equals_the_written_out_rule_bit_for_bit(self, energies):
+        for temperature in np.geomspace(1e-3, 1e3, 61).tolist():
+            got = gibbs_vector(energies, temperature)
+            assert np.array_equal(got, self.written_out(energies, temperature))
+
+    @pytest.mark.parametrize("temperature", [float("nan"), 0.0, -0.0, -1.0])
+    def test_non_positive_or_nan_temperature_raises(self, temperature):
+        energies = np.array([0.0, 0.3, 1.1])
+        for fn in (gibbs_vector, dT_gibbs_vector):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                fn(energies, temperature)
+
+
 class TestDecomposition:
     def test_frozen_rates(self, ladder_spectrum):
         assert np.allclose(ladder_spectrum.eigenvalues, LADDER_RATES, rtol=0, atol=1e-13)
