@@ -5,8 +5,8 @@ the rest of the package, so that agreement between an analytic result and its
 oracle value is evidence rather than tautology.  Keep it that way: no imports
 from the model modules, no exponential-decay shortcuts on the solution side.
 
-These routines serve the test suite, explicit cross-checks and the
-finite-difference spectrum oracle in :mod:`.spectral`; no model result uses them.
+These routines serve the test suite and explicit cross-checks; no module of
+the package imports them, and no model result uses them.
 
 With a constant generator R, one RK4 step of size h is y -> P y with
 P = I + a and a = hR + (hR)^2/2 + (hR)^3/6 + (hR)^4/24, so the state after

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,17 +172,12 @@ def sampling_stream(seed: int, cell: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _checked_block(p_true: Sequence[float] | np.ndarray) -> Sequence[float]:
-    """The populations of a block, each checked to lie in [0, 1].
+def _checked_block(p_true: Sequence[float] | np.ndarray) -> list[float]:
+    """The populations of a block, each checked to lie in [0, 1], as a list of floats.
 
-    One value keeps the scalar check, with no array reduction, and is returned
-    as given.  A longer block is checked with one vectorised test, which NaN
-    fails too, and returned as a list of floats; the message names its first
-    bad value.
+    One vectorised test checks the whole block, and NaN fails it too; the
+    message names the block's first bad value.
     """
-    if len(p_true) == 1:
-        _check_probability(p_true[0])
-        return p_true
     values = np.asarray(p_true, dtype=float)
     inside = (values >= 0.0) & (values <= 1.0)
     if not inside.all():
@@ -213,14 +208,13 @@ def _sampler(
     """``draws(p_true, first_cell)``: binomial draws of ``shots`` for a block of cells.
 
     ``p_true[k]`` is drawn from cell ``first_cell + k``.  The call checks the
-    whole block at once: every population (one vectorised [0, 1] test, or a
-    scalar check for a one-cell block) and, when sampling, the first and last
-    cell of its range.  A bad block raises before any of its cells is drawn.
-    It then returns a lazy iterator over the block's successes in cell order,
-    so a stage that stops reading draws no further cell (a one-cell block, with
-    no further cell, is drawn at the call).  With ``shots = 0`` the successes
-    are the populations themselves, out of one shot; no generator is built and
-    no key is checked.  Otherwise one generator from
+    whole block at once: every population (one vectorised [0, 1] test) and,
+    when sampling, the first and last cell of its range.  A bad block raises
+    before any of its cells is drawn.  It then returns a lazy iterator over the
+    block's successes in cell order, so a stage that stops reading draws no
+    further cell; a single record is a one-cell block.  With ``shots = 0`` the
+    successes are the populations themselves, out of one shot; no generator is
+    built and no key is checked.  Otherwise one generator from
     ``sampling_stream(seed, 0)`` serves every draw: its Philox is reset to
     counter 0, an empty buffer and the key ``(seed, cell)`` before each draw,
     the state of a fresh ``sampling_stream(seed, cell)``.  That state is held
@@ -239,11 +233,9 @@ def _sampler(
 
         return exact
     rng = sampling_stream(seed, 0)
-    bitgen, binomial = rng.bit_generator, rng.binomial
-    key = [seed, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -254,11 +246,6 @@ def _sampler(
         values = _checked_block(p_true)
         # the cells ascend, so the first and the last bound the whole range
         _check_key(seed, first_cell)
-        if len(values) == 1:
-            # a lone cell has no later cell to skip: it is drawn at once, without a generator
-            key[1] = first_cell
-            bitgen.state = state
-            return iter((binomial(shots, values[0]),))
         if values:
             _check_key(seed, first_cell + len(values) - 1)
         return _rekeyed_draws(rng, state, shots, values, first_cell)
@@ -577,12 +564,12 @@ def mle_temperature(
     closures).  A 64-point scan brackets the maximum between the neighbours of
     its best temperature.  A model value on the scan that is not finite
     raises :class:`DegenerateModelError` naming the first one, and so do
-    model values that are constant over the interval.  The scan scores its 64
-    temperatures in one array expression with ``np.log``; the refinement and
-    the reported ``log_likelihood`` use the scalar rule with ``math.log``.
-    The two can differ by an ulp, and the scan's scores only pick the best
-    temperature and flag a multimodal likelihood.  For one record of k
-    successes in n shots, with k/n inside the likelihood clamp
+    model values that are constant over the interval.  One array rule scores
+    the likelihood, k log p + (n - k) log(1 - p) summed over the records in
+    order with p clamped to [1e-12, 1 - 1e-12], over a (records x m) block of
+    model values: the scan's 64 columns at once, and one column for each
+    golden-section step and for the reported ``log_likelihood``.  For one
+    record of k successes in n shots, with k/n inside the likelihood clamp
     (1e-12, 1 - 1e-12), the likelihood is largest exactly where p(T) = k/n,
     so a root of p(T) - k/n is a global maximizer.
     When the scan's model values at the bracket ends straddle k/n (or one
@@ -604,18 +591,19 @@ def mle_temperature(
     if not 0 < t_lo < t_hi:
         raise ValueError(f"invalid temperature interval ({t_lo}, {t_hi})")
 
-    def records_log_likelihood(populations: Iterable[float]) -> float:
-        # ``populations`` holds the model value of each record, in record order
-        total = 0.0
-        for rec, value in zip(records, populations):
-            p = min(max(value, _P_CLAMP), 1.0 - _P_CLAMP)
-            total += rec.successes * math.log(p) + (rec.shots - rec.successes) * math.log(
-                1.0 - p
-            )
-        return total
+    # k and n - k of each record, one row each, against (records x m) model values
+    successes = np.array([[float(rec.successes)] for rec in records])
+    failures = np.array([[float(rec.shots - rec.successes)] for rec in records])
+
+    def scores(columns: np.ndarray) -> np.ndarray:
+        # the log-likelihood at each of the m temperatures whose model values are
+        # columns; a running sum adds the records in order for every m, where a
+        # reduction over one column would sum 8 or more of them pairwise
+        p = np.minimum(np.maximum(columns, _P_CLAMP), 1.0 - _P_CLAMP)
+        return (successes * np.log(p) + failures * np.log(1.0 - p)).cumsum(axis=0)[-1]
 
     def log_likelihood(temp: float) -> float:
-        return records_log_likelihood(population_fn(rec.time, temp) for rec in records)
+        return float(scores(np.array([[population_fn(rec.time, temp)] for rec in records]))[0])
 
     grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
     scan_temps = grid.tolist()
@@ -637,13 +625,9 @@ def mle_temperature(
             "temperature is unidentifiable"
         )
 
-    # the scalar rule of records_log_likelihood at every scan point at once
-    successes = np.array([[float(rec.successes)] for rec in records])
-    failures = np.array([[float(rec.shots - rec.successes)] for rec in records])
-    p = np.minimum(np.maximum(columns, _P_CLAMP), 1.0 - _P_CLAMP)
-    scores = np.add.reduce(successes * np.log(p) + failures * np.log(1.0 - p), axis=0)
+    scanned = scores(columns)
     interior = np.flatnonzero(
-        (scores[1:-1] >= scores[:-2]) & (scores[1:-1] >= scores[2:])
+        (scanned[1:-1] >= scanned[:-2]) & (scanned[1:-1] >= scanned[2:])
     )
     multimodal = interior.size > 1
     if multimodal:
@@ -652,7 +636,7 @@ def mle_temperature(
             MultimodalLikelihoodWarning,
             stacklevel=2,
         )
-    best = int(np.argmax(scores))
+    best = int(np.argmax(scanned))
     i_lo, i_hi = max(best - 1, 0), min(best + 1, _SCAN_POINTS - 1)
     lo, hi = float(grid[i_lo]), float(grid[i_hi])
     rec = records[0]

@@ -46,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 from .grids import check_times
-from .oracle import finite_difference_dT
 from .qubit import bose_occupation, dT_bose
 
 __all__ = [
@@ -239,9 +238,9 @@ def validate_rate_matrix(rate_matrix: RateMatrix) -> None:
     """Check finite entries (first: NaN fails no later comparison), column sums,
     off-diagonal signs, and detailed balance against pi."""
     r = rate_matrix.entries
-    n = r.shape[0]
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise RateMatrixError(f"entries must be square, got shape {r.shape}")
+    n = r.shape[0]
     if not np.isfinite(r).all():
         i, j = np.argwhere(~np.isfinite(r))[0].tolist()
         raise RateMatrixError(f"rate matrix entry ({i}, {j}) is {r[i, j]}, not finite")
@@ -503,23 +502,22 @@ def finite_difference_spectrum(
 ) -> SpectralDerivatives:
     """Finite-difference oracle for the perturbation formulas.
 
-    Decomposes the family at T +- h (h = 1e-5 T), identifies modes with the base
-    decomposition, rescales them into the base's biorthonormal gauge
+    Builds the family's generators at T +- h (h = 1e-5 T) and takes central
+    differences.  dT R is the difference of their entries.  The spectral
+    fields decompose both generators, identify their modes with the base
+    decomposition, and rescale them into the base's biorthonormal gauge
     (w_k(T) . v_k(T') = 1 for right modes, w_k(T') . v_k(T) = 1 for left
-    ones — both agree with the constant-overlap gauge to O(h^2)), and takes
-    central differences.  Eigenvalue-derivative entries come from matched
-    eigenvalue differences, and dT R from the step-halved central difference
-    of :func:`~mpemba_thermometry.oracle.finite_difference_dT` on the family's
-    entries.
+    ones — both agree with the constant-overlap gauge to O(h^2)).
     """
     family = rate_matrix.family
     if family is None:
         raise ValueError("rate matrix carries no temperature family; cannot differentiate")
     t0 = rate_matrix.temperature
     h = 1e-5 * t0
+    plus, minus = family(t0 + h), family(t0 - h)
 
-    def aligned(temp: float):
-        dec = decompose(family(temp))
+    def aligned(matrix: RateMatrix):
+        dec = decompose(matrix)
         perm = _match_modes(decomposition, dec)
         lam = dec.eigenvalues[perm]
         right = dec.right_modes[:, perm].copy()
@@ -533,11 +531,11 @@ def finite_difference_spectrum(
             left[:, k] /= d
         return lam, right, left
 
-    lam_p, right_p, left_p = aligned(t0 + h)
-    lam_m, right_m, left_m = aligned(t0 - h)
+    lam_p, right_p, left_p = aligned(plus)
+    lam_m, right_m, left_m = aligned(minus)
     inv = 1.0 / (2.0 * h)
     return SpectralDerivatives(
-        d_rate_matrix=finite_difference_dT(lambda temp: family(temp).entries, t0).value,
+        d_rate_matrix=(plus.entries - minus.entries) / (2.0 * h),
         d_eigenvalues=(lam_p - lam_m) * inv,
         d_right_modes=(right_p - right_m) * inv,
         d_left_modes=(left_p - left_m) * inv,

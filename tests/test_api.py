@@ -7,6 +7,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -142,6 +144,22 @@ def test_oracle_imports_nothing_from_the_package():
 
     package = package_imports(oracle)
     assert not package, f"oracle.py imports from the package: {package}"
+
+
+def test_importing_the_cli_leaves_the_oracle_unloaded():
+    # the oracle is test support: no module on the command line's import
+    # graph reaches it; a fresh interpreter shows what the import loads
+    src = Path(mpemba_thermometry.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import mpemba_thermometry.cli; "
+        "print(sorted(name for name in sys.modules if name.startswith('mpemba_thermometry')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    loaded = ast.literal_eval(done.stdout)
+    assert "mpemba_thermometry.cli" in loaded
+    assert "mpemba_thermometry.oracle" not in loaded
 
 
 def test_grids_imports_nothing_from_the_package():

@@ -674,6 +674,14 @@ class TestExitCodes:
         assert code == 3
         assert "stationary population of level 3" in capsys.readouterr().err
 
+    def test_ladder_past_the_resolvable_gap_is_numerical_failure(self, tmp_path, capsys):
+        # e3/T = 16: every level is populated, but the symmetric ladder's
+        # modes no longer resolve to the decomposition's tolerances
+        cfg = write_config(tmp_path, "model = lambda\ntemperature = 0.0625\n")
+        assert main(["relax", "--config", cfg, "--output", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["relax", "qfi", "theorem", "protocol"])
     def test_non_finite_generator_is_numerical_failure(self, tmp_path, capsys, command):
         # kappa = 1e308 overflows the ladder's rates to +-inf; the generator

@@ -852,6 +852,10 @@ def wavy_model(t: float, temp: float) -> float:
     return 0.4 + 0.2 * math.sin(3.0 * temp)
 
 
+def linear_model(t: float, temp: float) -> float:
+    return 0.25 * temp
+
+
 def frozen_case(name: str):
     """(records, population_fn, interval, fisher_fn) of one frozen estimate."""
 
@@ -1082,6 +1086,54 @@ class TestMleTemperature:
                 res = mle_temperature(records, population, interval, fisher_fn=lambda t, T: 1.0)
             assert brackets.pop() == (grid[max(best - 1, 0)], grid[min(best + 1, 63)])
             assert res.multimodal == multimodal, (shots, successes)
+
+    @pytest.mark.parametrize(
+        "successes, refused",
+        [
+            (500.0, "_golden_section_maximize"),
+            (0.0, "_bracketed_root"),
+            (1000.0, "_bracketed_root"),
+        ],
+        ids=["root", "no_successes", "all_successes"],
+    )
+    def test_reported_log_likelihood_is_the_array_rule_at_t_hat(
+        self, monkeypatch, successes, refused
+    ):
+        # k = n/2 is refined by the root, k = 0 and k = n by golden-section
+        # search; either way the value reported is the one array rule
+        monkeypatch.setattr(protocol, refused, refuse(refused))
+        rec = ShotRecord(1000, successes, 0.0, "equilibrium", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMaximumWarning)
+            res = mle_temperature([rec], linear_model, (0.3, 3.0), fisher_fn=lambda t, T: 1.0)
+        p = min(max(linear_model(0.0, res.t_hat), 1e-12), 1.0 - 1e-12)
+        k, n = rec.successes, rec.shots
+        assert res.log_likelihood == k * np.log(p) + (n - k) * np.log(1.0 - p)
+
+    def test_many_records_are_scored_in_record_order(self, monkeypatch):
+        # from 8 records on, a reduction over one column would sum pairwise;
+        # the refinement's single column and the reported value add the
+        # records in order, as the scan's columns do
+        records = [sample_population(P_HALF, 10_000, 17, c) for c in range(20)]
+        scored = []
+        real = protocol._golden_section_maximize
+
+        def recording(f, lo, hi, xtol):
+            scored.append(f)
+            return real(f, lo, hi, xtol)
+
+        def in_order(temp):
+            p = min(max(eq_model(0.0, temp), 1e-12), 1.0 - 1e-12)
+            total = 0.0
+            for rec in records:
+                total += rec.successes * np.log(p) + (rec.shots - rec.successes) * np.log(1.0 - p)
+            return total
+
+        monkeypatch.setattr(protocol, "_golden_section_maximize", recording)
+        res = mle_temperature(records, eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
+        assert res.log_likelihood == in_order(res.t_hat)
+        for temp in np.linspace(0.2, 1.0, 64).tolist():
+            assert scored[0](temp) == in_order(temp)
 
     @pytest.mark.parametrize("name", sorted(FROZEN_ESTIMATES))
     def test_estimates_keep_their_bits(self, name):

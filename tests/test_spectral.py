@@ -103,6 +103,15 @@ class TestConstruction:
         with pytest.raises(RateMatrixError, match=re.escape(expected)):
             validate_rate_matrix(matrix)
 
+    @pytest.mark.parametrize("entries", [np.array(1.0), np.zeros(3), np.zeros((2, 3))])
+    @pytest.mark.parametrize("check", [validate_rate_matrix, decompose])
+    def test_entries_that_are_not_a_square_matrix_are_rejected(self, ladder, entries, check):
+        # a 0-d array has no first axis to read, so the shape is checked first
+        matrix = RateMatrix(entries, ladder.energies, ladder.temperature)
+        expected = f"entries must be square, got shape {entries.shape}"
+        with pytest.raises(RateMatrixError, match=re.escape(expected)):
+            check(matrix)
+
     def test_all_nan_matrix_names_its_first_entry(self, ladder):
         matrix = RateMatrix(np.full((3, 3), np.nan), ladder.energies, ladder.temperature)
         with pytest.raises(RateMatrixError, match=re.escape("entry (0, 0) is nan")):
@@ -270,6 +279,37 @@ class TestTemperatureResponse:
         assert np.max(np.abs(der.d_eigenvalues - fd.d_eigenvalues)) < 1e-8
         assert np.max(np.abs(der.d_right_modes - fd.d_right_modes)) < 1e-7
         assert np.max(np.abs(der.d_left_modes - fd.d_left_modes)) < 1e-7
+
+    def test_finite_difference_dT_R_is_the_central_difference_of_the_family(
+        self, ladder, ladder_spectrum
+    ):
+        # the stencil of every other field: the two generators at T +- h
+        temp = ladder.temperature
+        h = 1e-5 * temp
+        expected = (ladder.family(temp + h).entries - ladder.family(temp - h).entries) / (2 * h)
+        fd = finite_difference_spectrum(ladder, ladder_spectrum)
+        assert fd.d_rate_matrix.tobytes() == expected.tobytes()
+
+    def test_finite_difference_dT_R_matches_the_exact_one(self, ladder):
+        rng = np.random.default_rng(2718)
+        for matrix in [ladder, *(random_ladder(rng) for _ in range(10))]:
+            fd = finite_difference_spectrum(matrix, decompose(matrix))
+            scale = np.max(np.abs(matrix.d_entries))
+            assert np.max(np.abs(fd.d_rate_matrix - matrix.d_entries)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("gap_over_T", [5.0, 10.0])
+    def test_cold_ladder_routes_agree_within_the_crosscheck_tolerances(self, gap_over_T):
+        # (e3 - e1)/T = 15 puts the eigenvector route 1e-2 off (h = 1e-5 T loses
+        # it to rounding), and from about 20.5 decompose raises
+        matrix = build_lambda_rate_matrix(0.0, 0.3, 1.0, 1.0, 1.3, 1.0 / gap_over_T)
+        dec = decompose(matrix)
+        der = temperature_derivatives(matrix, dec)
+        fd = finite_difference_spectrum(matrix, dec)
+        fd_rates, fd_modes = fd.d_eigenvalues[1:], fd.d_right_modes[:, 1:]
+        scalar = np.max(np.abs(der.d_eigenvalues[1:] - fd_rates)) / np.max(np.abs(fd_rates))
+        vector = np.max(np.abs(der.d_right_modes[:, 1:] - fd_modes)) / np.max(np.abs(fd_modes))
+        assert scalar < 1e-5
+        assert vector < 1e-4
 
     def test_stationary_slope_is_rate_matrix_kernel_response(
         self, ladder, ladder_spectrum
