@@ -121,14 +121,18 @@ class Lemma2Certificate:
 
 def _check_certifiable(
     decomposition: SpectralDecomposition, amplitudes: ModalAmplitudes, t: float
-) -> None:
+) -> float:
+    """``t`` as a Python float, once the instance and the time are certifiable."""
     if decomposition.dim < 3:
         raise ValueError(
             f"modal certificates need at least 3 levels, got {decomposition.dim}"
         )
-    check_times(t)
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be a float, got shape {np.shape(t)}")
+    t = float(check_times(t))
     if amplitudes.dT_amplitudes is None:
         raise ValueError("amplitudes carry no dT_amplitudes")
+    return t
 
 
 def _instance_constants(
@@ -222,7 +226,7 @@ def compute_lemma_constants(
     neighborhood: np.ndarray,
 ) -> LemmaConstants:
     """Assemble every bounding constant for one instance at evaluation time t."""
-    _check_certifiable(decomposition, amplitudes, t)
+    t = _check_certifiable(decomposition, amplitudes, t)
     c = _instance_constants(decomposition, derivatives, amplitudes, t)
     m_low, m_high = lemma3_metric_bounds(neighborhood)
     constants = LemmaConstants(
@@ -291,7 +295,7 @@ def lemma1_remainder_check(
                    <= A_max V_max (N-2) e^{-lambda_3 t}
     Remainder:   || R(t) || <= C_R1(t) e^{-lambda_3 t} + C_R2 e^{-lambda_2 t}
     """
-    _check_certifiable(decomposition, amplitudes, t)
+    t = _check_certifiable(decomposition, amplitudes, t)
     c = _instance_constants(decomposition, derivatives, amplitudes, t)
     decay = np.exp(-decomposition.eigenvalues * t)
 
@@ -329,7 +333,7 @@ def lemma2_slow_mode(
         |S(t)| >= t |a_2| |dT lambda_2| e^{-lambda_2 t} - B(t)
         |dT a_2| <= R_T ||w_2|| E_2 W_norm ||p0 - pi|| + ||w_2|| ||dT pi||
     """
-    _check_certifiable(decomposition, amplitudes, t)
+    t = _check_certifiable(decomposition, amplitudes, t)
     sensitivity = _slow_mode_sensitivity(decomposition, amplitudes, derivatives, t)
     a2, dlam2 = sensitivity.a2, sensitivity.dT_lambda2
     envelope = math.exp(-float(decomposition.eigenvalues[1]) * t)
@@ -409,7 +413,7 @@ def slow_mode_split(
     reproduces :func:`~mpemba_thermometry.spectral.dT_populations_modal` to
     rounding as an identity of the perturbation route, not by construction.
     """
-    _check_certifiable(decomposition, amplitudes, t)
+    t = _check_certifiable(decomposition, amplitudes, t)
     sensitivity = _slow_mode_sensitivity(decomposition, amplitudes, derivatives, t)
     return sensitivity.s_of_t, _modal_remainder(decomposition, amplitudes, derivatives, t)
 

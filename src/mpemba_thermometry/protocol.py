@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .grids import check_grid
+from .grids import check_grid, check_times
 from .instances import ProbePair, measured_level
 
 __all__ = [
@@ -452,6 +452,7 @@ def fisher_map(
 ) -> FisherMap:
     """Per-shot Fisher information over a (time x temperature) grid.
 
+    ``times`` is a strictly increasing grid of finite times t >= 0.
     Populations come from ``population_fn(times, T)``, called once per
     temperature with the whole time array; it returns one population per time,
     or a scalar that broadcasts over them.  They are sampled binomially when
@@ -462,7 +463,7 @@ def fisher_map(
     from a 5-point local least-squares quadratic, and cells whose population
     variance falls below 1e-12 are flagged and set to 0 rather than divided.
     """
-    times = np.asarray(times, dtype=float)
+    times = check_times(check_grid(times, "times", 1))
     draw = _sampler(shots, seed)  # rejects shots < 0; exact rows are not drawn
     temps = check_grid(temperatures, "temperatures", 5)  # the 5-point slope stencil
     rows = np.empty((times.size, temps.size))
@@ -557,75 +558,71 @@ def mle_temperature(
     t_interval: tuple[float, float],
     fisher_fn: Callable[[float, float], float],
 ) -> MleResult:
-    """Maximum-likelihood temperature from binomial records.
+    """Maximum-likelihood temperature from one binomial record.
 
-    ``population_fn(time, T)`` must model every supplied record (single
-    preparation per call; estimate heterogeneous record sets with separate
-    closures).  A 64-point scan brackets the maximum between the neighbours of
-    its best temperature.  A model value on the scan that is not finite
-    raises :class:`DegenerateModelError` naming the first one, and so do
-    model values that are constant over the interval.  One array rule scores
-    the likelihood, k log p + (n - k) log(1 - p) summed over the records in
-    order with p clamped to [1e-12, 1 - 1e-12], over a (records x m) block of
-    model values: the scan's 64 columns at once, and one column for each
-    golden-section step and for the reported ``log_likelihood``.  For one
-    record of k successes in n shots, with k/n inside the likelihood clamp
-    (1e-12, 1 - 1e-12), the likelihood is largest exactly where p(T) = k/n,
-    so a root of p(T) - k/n is a global maximizer.
+    ``observations`` holds exactly one record of k successes in n >= 1 shots,
+    0 <= k <= n (k is fractional only in the noiseless record), and
+    ``population_fn(time, T)`` models it at the record's time.  A 64-point
+    scan brackets the maximum between the neighbours of its best temperature.
+    A model value on the scan that is not finite raises
+    :class:`DegenerateModelError` naming the first one, and so do model
+    values that are constant over the interval.  One array rule scores the
+    likelihood, k log p + (n - k) log(1 - p) with p clamped to
+    [1e-12, 1 - 1e-12], over a row of model values: the scan's 64 at once,
+    and one for each golden-section step and for the reported
+    ``log_likelihood``.  With k/n inside the clamp, the likelihood is largest
+    exactly where p(T) = k/n, so a root of p(T) - k/n is a global maximizer.
     When the scan's model values at the bracket ends straddle k/n (or one
     equals it), Brent's root finder refines the estimate to the last bits in
     a few model calls; a model value that is not finite there raises
     :class:`DegenerateModelError`.  Every other case (k = 0, k = n, no
-    crossing on the bracket as at a boundary maximum, two or more records)
-    is refined by golden-section search on log-likelihood values, which are
-    flat to rounding within about 1e-7 relative of the maximum, so its last
-    digits (1e-8 to 1e-7 relative) are search noise.  Boundary maxima and
-    multimodal scans are flagged on the result and warned about.  The error
-    bar comes from the total per-shot Fisher information
-    ``fisher_fn(time, T)`` of the records at the estimate.
+    crossing on the bracket as at a boundary maximum) is refined by
+    golden-section search on log-likelihood values, which are flat to
+    rounding within about 1e-7 relative of the maximum, so its last digits
+    (1e-8 to 1e-7 relative) are search noise.  Boundary maxima and multimodal
+    scans are flagged on the result and warned about.  The error bar is
+    (n F)^-1/2, with F = ``fisher_fn(time, t_hat)`` the per-shot Fisher
+    information at the estimate, reported as ``fisher_at_hat``.
     """
-    records = list(observations)
-    if not records:
-        raise ValueError("need at least one observation")
+    if len(observations) != 1:
+        raise ValueError(f"need exactly one observation, got {len(observations)}")
+    (rec,) = observations
+    if not rec.shots >= 1:
+        raise ValueError(f"shots must be at least 1, got {rec.shots}")
+    if not 0 <= rec.successes <= rec.shots:  # NaN fails too
+        raise ValueError(f"successes must lie in [0, {rec.shots}], got {rec.successes}")
     t_lo, t_hi = float(t_interval[0]), float(t_interval[1])
     if not 0 < t_lo < t_hi:
         raise ValueError(f"invalid temperature interval ({t_lo}, {t_hi})")
 
-    # k and n - k of each record, one row each, against (records x m) model values
-    successes = np.array([[float(rec.successes)] for rec in records])
-    failures = np.array([[float(rec.shots - rec.successes)] for rec in records])
+    successes, failures = float(rec.successes), float(rec.shots - rec.successes)
 
-    def scores(columns: np.ndarray) -> np.ndarray:
-        # the log-likelihood at each of the m temperatures whose model values are
-        # columns; a running sum adds the records in order for every m, where a
-        # reduction over one column would sum 8 or more of them pairwise
-        p = np.minimum(np.maximum(columns, _P_CLAMP), 1.0 - _P_CLAMP)
-        return (successes * np.log(p) + failures * np.log(1.0 - p)).cumsum(axis=0)[-1]
+    def scores(row: np.ndarray) -> np.ndarray:
+        # the log-likelihood at each temperature whose model value is in row
+        p = np.minimum(np.maximum(row, _P_CLAMP), 1.0 - _P_CLAMP)
+        return successes * np.log(p) + failures * np.log(1.0 - p)
 
     def log_likelihood(temp: float) -> float:
-        return float(scores(np.array([[population_fn(rec.time, temp)] for rec in records]))[0])
+        return float(scores(np.array([population_fn(rec.time, temp)]))[0])
 
     grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
     scan_temps = grid.tolist()
-    # one model column per record, shared by the checks, the scan and the root
-    columns = np.array(
-        [[population_fn(rec.time, temp) for temp in scan_temps] for rec in records]
-    )
-    non_finite = np.flatnonzero(~np.isfinite(columns))
+    # the model row, shared by the checks, the scan and the root
+    row = np.array([population_fn(rec.time, temp) for temp in scan_temps])
+    non_finite = np.flatnonzero(~np.isfinite(row))
     if non_finite.size:
-        r, g = divmod(int(non_finite[0]), _SCAN_POINTS)
+        g = int(non_finite[0])
         raise DegenerateModelError(
-            f"model population {columns[r, g]} at temperature {scan_temps[g]!r} is not "
+            f"model population {row[g]} at temperature {scan_temps[g]!r} is not "
             "finite; the likelihood cannot be scanned"
         )
-    model_spread = max(float(column.max() - column.min()) for column in columns)
-    if model_spread < 1e-14:
+    if float(row.max() - row.min()) < 1e-14:
         raise DegenerateModelError(
             "model populations are constant over the search interval; "
             "temperature is unidentifiable"
         )
 
-    scanned = scores(columns)
+    scanned = scores(row)
     interior = np.flatnonzero(
         (scanned[1:-1] >= scanned[:-2]) & (scanned[1:-1] >= scanned[2:])
     )
@@ -639,10 +636,9 @@ def mle_temperature(
     best = int(np.argmax(scanned))
     i_lo, i_hi = max(best - 1, 0), min(best + 1, _SCAN_POINTS - 1)
     lo, hi = float(grid[i_lo]), float(grid[i_hi])
-    rec = records[0]
-    target = rec.successes / rec.shots if len(records) == 1 and rec.shots > 0 else math.nan
+    target = rec.successes / rec.shots
     # the residuals p - k/n at the bracket ends are scan values: no model call
-    g_lo, g_hi = float(columns[0, i_lo]) - target, float(columns[0, i_hi]) - target
+    g_lo, g_hi = float(row[i_lo]) - target, float(row[i_hi]) - target
     if _P_CLAMP < target < 1.0 - _P_CLAMP and g_lo * g_hi <= 0.0:
 
         def residual(temp: float) -> float:
@@ -669,14 +665,13 @@ def mle_temperature(
             stacklevel=2,
         )
 
-    total_info = sum(rec.shots * fisher_fn(rec.time, t_hat) for rec in records)
-    total_shots = sum(rec.shots for rec in records)
-    stderr = math.inf if total_info <= 0 else total_info**-0.5
+    fisher = fisher_fn(rec.time, t_hat)
+    info = rec.shots * fisher
     return MleResult(
         t_hat=t_hat,
         log_likelihood=log_likelihood(t_hat),
-        fisher_at_hat=total_info / total_shots if total_shots else 0.0,
-        stderr=stderr,
+        fisher_at_hat=fisher,
+        stderr=math.inf if info <= 0 else info**-0.5,
         boundary=boundary,
         multimodal=multimodal,
     )

@@ -1,6 +1,7 @@
 """Command-line interface: artifact schemas, determinism, and exit codes."""
 
 import argparse
+import importlib.util
 import math
 import os
 import subprocess
@@ -872,3 +873,21 @@ class TestConsoleScript:
         proc = run_console_script("relax", "--config", cfg, "--output", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.count("ColdLimitWarning") == 1, proc.stderr
+
+
+def test_every_artifact_digest_config_loads(tmp_path):
+    # a renamed key would make every config that sets it an exit-2 run on both
+    # sides of a comparison, whose digests then agree and check nothing
+    path = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    loaded = []
+    for name, settings in tool.configs().items():
+        text = "".join(f"{key} = {value}\n" for key, value in settings.items())
+        config = load_config(write_config(tmp_path, text, f"{name}.cfg"))
+        assert all(getattr(config, key) == value for key, value in settings.items()), name
+        loaded.append(config)
+    assert {config.model for config in loaded} == {"qubit", "lambda"}
+    assert {0, 1} <= {config.shots for config in loaded}
+    assert {config.preparation for config in loaded} == {"hot", "equilibrium"}

@@ -135,9 +135,17 @@ class TestTimeContract:
 
     @pytest.mark.parametrize("name", LEMMAS)
     def test_a_lemma_keeps_its_float_time(self, name):
-        result = LEMMAS[name](0.7)
-        if hasattr(result, "t"):
-            assert type(result.t) is float and result.t == 0.7
+        for t in (0.7, np.float64(0.7), np.array(0.7)):
+            result = LEMMAS[name](t)
+            if hasattr(result, "t"):
+                assert type(result.t) is float and result.t == 0.7
+
+    @pytest.mark.parametrize("shape", [(2,), (0,), (1, 1)], ids=str)
+    @pytest.mark.parametrize("name", LEMMAS)
+    def test_a_lemma_rejects_a_time_array(self, name, shape):
+        # a 1-D t passed the time rule, then died inside numpy
+        t = np.full(shape, 0.7)
+        assert message(LEMMAS[name], t) == f"t must be a float, got shape {shape}"
 
     @pytest.mark.parametrize("bad", BAD_TIMES)
     @pytest.mark.parametrize("name", LEMMAS)
@@ -241,6 +249,14 @@ SCANS = {
         "temperatures",
         5,
     ),
+    # a closure that ignores t, so checks no time: the map must check its times itself
+    "fisher_map times": (
+        lambda grid: fisher_map(
+            lambda t, T: gibbs_population_qubit(1.0, T), grid, np.linspace(0.3, 0.7, 5)
+        ),
+        "times",
+        1,
+    ),
 }
 
 
@@ -259,6 +275,11 @@ class TestGridRule:
         scan(good)
         for grid in _bad_grids(good, min_points):
             assert message(scan, grid) == message(check_grid, grid, label, min_points)
+
+    @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0], [0.0, math.inf]])
+    def test_the_fisher_map_times_follow_the_time_rule_too(self, grid):
+        scan = SCANS["fisher_map times"][0]
+        assert message(scan, grid) == message(check_times, grid)
 
     def test_the_rule_returns_a_float_array(self):
         grid = check_grid([0, 1, 3], "times", 2)

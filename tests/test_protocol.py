@@ -127,16 +127,13 @@ def refined_brackets(monkeypatch) -> list[tuple[float, float]]:
     return brackets
 
 
-def scalar_scan(records, population_fn, interval) -> tuple[list[float], int, bool]:
+def scalar_scan(rec, population_fn, interval) -> tuple[list[float], int, bool]:
     """The scan grid, best index and multimodal flag by the scalar rule, one math.log at a time."""
     grid = np.linspace(*interval, 64).tolist()
     scores = []
     for temp in grid:
-        total = 0.0
-        for rec in records:
-            p = min(max(population_fn(rec.time, temp), 1e-12), 1.0 - 1e-12)
-            total += rec.successes * math.log(p) + (rec.shots - rec.successes) * math.log(1.0 - p)
-        scores.append(total)
+        p = min(max(population_fn(rec.time, temp), 1e-12), 1.0 - 1e-12)
+        scores.append(rec.successes * math.log(p) + (rec.shots - rec.successes) * math.log(1.0 - p))
     best = max(range(64), key=scores.__getitem__)  # the first maximum, as np.argmax
     peaks = sum(scores[i - 1] <= scores[i] >= scores[i + 1] for i in range(1, 63))
     return grid, best, peaks > 1
@@ -841,7 +838,6 @@ FROZEN_ESTIMATES = {
     "sampled_root": (0.5000406651248973, 0.0024400704603689213, -36536.80096541005),
     "noiseless_root": (0.5, 0.771540317407622, -0.36533385508720767),
     "no_successes": (0.20000000004489538, 0.049058315832171795, -0.671534849663003),
-    "two_records": (0.5002311769234558, 0.005458738549793336, -7310.559323478665),
     "hot_probe": (0.4828387627998405, 0.01, -3665.2631575488394),
     "ladder_top": (0.7798202347573564, 0.018593820736118146, -3704.960904018718),
     "multimodal": (0.17453292519943286, 0.03162277660168379, -693.1471805599452),
@@ -875,7 +871,6 @@ def frozen_case(name: str):
         "sampled_root": ([sample_population(P_HALF, 100_000, 99, 3)], *qubit),
         "noiseless_root": ([ShotRecord(1, P_HALF, 0.0, "equilibrium", 0)], *qubit),
         "no_successes": ([ShotRecord(100, 0.0, 0.0, "equilibrium", 0)], *qubit),
-        "two_records": ([sample_population(P_HALF, 10_000, 17, c) for c in (0, 1)], *qubit),
         "hot_probe": ([ShotRecord(10_000, hot_k, 2.0, "hot", 5)], hot_model, (0.2, 1.0), unit),
         "ladder_top": ([top_record], top, (0.4, 1.2), top_fisher),
         "multimodal": ([ShotRecord(1000, 500.0, 0.0, "hot", 0)], wavy_model, (0.05, 4.0), unit),
@@ -906,17 +901,6 @@ class TestMleTemperature:
         assert res.stderr == pytest.approx(
             1.0 / math.sqrt(100_000 * qfi_equilibrium(1.0, res.t_hat)), rel=1e-9
         )
-
-    def test_records_pool_information(self):
-        records = [
-            sample_population(
-                gibbs_population_qubit(1.0, 0.5), 10_000, seed=17, cell=c
-            )
-            for c in range(5)
-        ]
-        res = mle_temperature([records[0]], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
-        pooled = mle_temperature(records, eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
-        assert pooled.stderr < res.stderr
 
     def test_boundary_maximum_flagged(self):
         rec = ShotRecord(
@@ -966,18 +950,17 @@ class TestMleTemperature:
         assert len(calls) == 64 + len(roots) + 1
 
     @pytest.mark.parametrize(
-        "records, interval",
+        "rec, interval",
         [
             # k = 0 and k = n: the maximum is where p is smallest or largest
-            ([ShotRecord(1000, 0.0, 0.0, "equilibrium", 0)], (0.2, 1.0)),
-            ([ShotRecord(1000, 1000.0, 0.0, "equilibrium", 0)], (0.2, 1.0)),
+            (ShotRecord(1000, 0.0, 0.0, "equilibrium", 0), (0.2, 1.0)),
+            (ShotRecord(1000, 1000.0, 0.0, "equilibrium", 0), (0.2, 1.0)),
             # p(T) > k/n over the whole interval: no root on the bracket
-            ([ShotRecord(1, P_HALF, 0.0, "equilibrium", 0)], (0.6, 0.9)),
-            ([sample_population(P_HALF, 10_000, 17, c) for c in (0, 1)], (0.2, 1.0)),
+            (ShotRecord(1, P_HALF, 0.0, "equilibrium", 0), (0.6, 0.9)),
         ],
-        ids=["no_successes", "all_successes", "no_sign_change", "two_records"],
+        ids=["no_successes", "all_successes", "no_sign_change"],
     )
-    def test_golden_search_refines_what_has_no_root(self, monkeypatch, records, interval):
+    def test_golden_search_refines_what_has_no_root(self, monkeypatch, rec, interval):
         golden = []
         real = protocol._golden_section_maximize
 
@@ -989,7 +972,7 @@ class TestMleTemperature:
         monkeypatch.setattr(protocol, "_bracketed_root", refuse("root finder"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryMaximumWarning)
-            mle_temperature(records, eq_model, interval, fisher_fn=eq_fisher)
+            mle_temperature([rec], eq_model, interval, fisher_fn=eq_fisher)
         assert len(golden) == 1
 
     @given(
@@ -1078,12 +1061,12 @@ class TestMleTemperature:
             cases += [(shots, float(k)) for k in sorted({0, 1, shots // 2, shots - 1, shots})]
         brackets = refined_brackets(monkeypatch)
         for shots, successes in cases:
-            records = [ShotRecord(shots, successes, time, "hot", 0)]
-            grid, best, multimodal = scalar_scan(records, population, interval)
+            rec = ShotRecord(shots, successes, time, "hot", 0)
+            grid, best, multimodal = scalar_scan(rec, population, interval)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", BoundaryMaximumWarning)
                 warnings.simplefilter("ignore", MultimodalLikelihoodWarning)
-                res = mle_temperature(records, population, interval, fisher_fn=lambda t, T: 1.0)
+                res = mle_temperature([rec], population, interval, fisher_fn=lambda t, T: 1.0)
             assert brackets.pop() == (grid[max(best - 1, 0)], grid[min(best + 1, 63)])
             assert res.multimodal == multimodal, (shots, successes)
 
@@ -1109,31 +1092,6 @@ class TestMleTemperature:
         p = min(max(linear_model(0.0, res.t_hat), 1e-12), 1.0 - 1e-12)
         k, n = rec.successes, rec.shots
         assert res.log_likelihood == k * np.log(p) + (n - k) * np.log(1.0 - p)
-
-    def test_many_records_are_scored_in_record_order(self, monkeypatch):
-        # from 8 records on, a reduction over one column would sum pairwise;
-        # the refinement's single column and the reported value add the
-        # records in order, as the scan's columns do
-        records = [sample_population(P_HALF, 10_000, 17, c) for c in range(20)]
-        scored = []
-        real = protocol._golden_section_maximize
-
-        def recording(f, lo, hi, xtol):
-            scored.append(f)
-            return real(f, lo, hi, xtol)
-
-        def in_order(temp):
-            p = min(max(eq_model(0.0, temp), 1e-12), 1.0 - 1e-12)
-            total = 0.0
-            for rec in records:
-                total += rec.successes * np.log(p) + (rec.shots - rec.successes) * np.log(1.0 - p)
-            return total
-
-        monkeypatch.setattr(protocol, "_golden_section_maximize", recording)
-        res = mle_temperature(records, eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
-        assert res.log_likelihood == in_order(res.t_hat)
-        for temp in np.linspace(0.2, 1.0, 64).tolist():
-            assert scored[0](temp) == in_order(temp)
 
     @pytest.mark.parametrize("name", sorted(FROZEN_ESTIMATES))
     def test_estimates_keep_their_bits(self, name):
@@ -1172,6 +1130,24 @@ class TestMleTemperature:
     def test_empty_observations_rejected(self):
         with pytest.raises(ValueError):
             mle_temperature([], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_the_estimate_models_exactly_one_record(self, count):
+        records = [sample_population(P_HALF, 10_000, 17, c) for c in range(count)]
+        with pytest.raises(ValueError, match=f"need exactly one observation, got {count}$"):
+            mle_temperature(records, eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
+
+    @pytest.mark.parametrize(
+        "shots, successes, field",
+        [(0, 0.0, "shots"), (10, 12.0, "successes"), (10, -1.0, "successes"),
+         (10, math.nan, "successes")],
+        ids=["no_shots", "more_successes_than_shots", "negative_successes", "nan_successes"],
+    )
+    def test_a_record_that_is_not_binomial_is_rejected(self, shots, successes, field):
+        # each used to return an estimate: the lower edge, about 1.0, or 0.2 with stderr inf
+        rec = ShotRecord(shots, successes, 0.0, "equilibrium", 0)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            mle_temperature([rec], eq_model, (0.2, 1.0), fisher_fn=eq_fisher)
 
 
 def equilibrium_probe(omega0: float):

@@ -214,6 +214,34 @@ class TestDecomposition:
         with pytest.raises(DegenerateSpectrumError):
             decompose(matrix)
 
+    @pytest.mark.parametrize(
+        "delta, degenerate", [(2e-9, False), (1.2e-9, False), (8e-10, True), (5e-10, True)]
+    )
+    def test_the_gap_floor_on_a_real_generator(self, delta, degenerate):
+        # R = D^1/2 S D^-1/2 with S = -(phi2 phi2^T + (1 + delta) phi3 phi3^T) and
+        # phi1 = sqrt(pi): decay rates (0, 1, 1 + delta), 1e-9 the floor between them
+        energies = np.array([0.0, 0.3, 1.1])
+        pi = gibbs_vector(energies, 0.5)
+        root = np.sqrt(pi)
+        basis, _ = np.linalg.qr(np.column_stack([root, np.eye(3)[:, :2]]))
+        phi = np.column_stack([root, basis[:, 1:]])
+        rates = np.array([0.0, 1.0, 1.0 + delta])
+        s = -(phi[:, 1:] * rates[1:]) @ phi[:, 1:].T
+        entries = root[:, None] * s / root[None, :]
+        matrix = RateMatrix(entries, energies, 0.5, d_entries=np.zeros((3, 3)))
+        # the exact modes, for the derivatives past a decomposition that refuses
+        exact = SpectralDecomposition(rates, root[:, None] * phi, phi / root[:, None], pi)
+        if degenerate:
+            with pytest.raises(DegenerateSpectrumError, match="coincide within 1e-09"):
+                decompose(matrix)
+            with pytest.raises(DegenerateSpectrumError, match="gap to mode 2"):
+                temperature_derivatives(matrix, exact)
+        else:
+            dec = decompose(matrix)
+            assert np.diff(dec.eigenvalues)[1] == pytest.approx(delta, rel=1e-3)
+            temperature_derivatives(matrix, dec)
+            temperature_derivatives(matrix, exact)
+
 
 class TestModalEvolution:
     def test_projection_requires_simplex(self, ladder_spectrum):
