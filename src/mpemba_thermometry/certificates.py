@@ -243,44 +243,37 @@ def compute_lemma_constants(
     return constants
 
 
-def _modal_remainder(
+def _slow_mode_split_at(
     decomposition: SpectralDecomposition,
     amplitudes: ModalAmplitudes,
     derivatives: SpectralDerivatives,
     t: float,
-) -> np.ndarray:
-    """R(t): everything in dT p(t) beyond dT pi and the slow-mode term.
-
+) -> tuple[np.ndarray, float, SlowModeSensitivity, np.ndarray]:
+    """The lemmas' modal quantities at time t, each computed once: the decay
+    factors e^{-lambda_k t}, the envelope e^{-lambda_2 t}, S(t) and the remainder
     R(t) = sum_{k>=3} (dT a_k - a_k t dT lambda_k) e^{-lambda_k t} v_k
-           + sum_{k>=2} a_k e^{-lambda_k t} dT v_k
-    """
+           + sum_{k>=2} a_k e^{-lambda_k t} dT v_k,
+    everything in dT p(t) beyond dT pi and the slow-mode term."""
     a = amplitudes.amplitudes
     da = amplitudes.dT_amplitudes
     decay = np.exp(-decomposition.eigenvalues * t)
     fast = (da[2:] - a[2:] * t * derivatives.d_eigenvalues[2:]) * decay[2:]
-    return (
+    remainder = (
         decomposition.right_modes[:, 2:] @ fast
         + derivatives.d_right_modes[:, 1:] @ (a[1:] * decay[1:])
     )
-
-
-def _slow_mode_sensitivity(
-    decomposition: SpectralDecomposition,
-    amplitudes: ModalAmplitudes,
-    derivatives: SpectralDerivatives,
-    t: float,
-) -> SlowModeSensitivity:
-    a2 = float(amplitudes.amplitudes[1])
-    da2 = float(amplitudes.dT_amplitudes[1])
+    a2 = float(a[1])
+    da2 = float(da[1])
     dlam2 = float(derivatives.d_eigenvalues[1])
     envelope = math.exp(-float(decomposition.eigenvalues[1]) * t)
-    return SlowModeSensitivity(
+    sensitivity = SlowModeSensitivity(
         s_of_t=(da2 - a2 * t * dlam2) * envelope,
         b_of_t=(abs(da2) + abs(a2 * dlam2)) * envelope,
         a2=a2,
         dT_a2=da2,
         dT_lambda2=dlam2,
     )
+    return decay, envelope, sensitivity, remainder
 
 
 def lemma1_remainder_check(
@@ -297,13 +290,12 @@ def lemma1_remainder_check(
     """
     t = _check_certifiable(decomposition, amplitudes, t)
     c = _instance_constants(decomposition, derivatives, amplitudes, t)
-    decay = np.exp(-decomposition.eigenvalues * t)
+    decay, _, _, remainder = _slow_mode_split_at(decomposition, amplitudes, derivatives, t)
 
     fast = decomposition.right_modes[:, 2:] @ (amplitudes.amplitudes[2:] * decay[2:])
     fast_lhs = float(np.linalg.norm(fast))
     fast_rhs = c["a_max"] * c["v_max"] * (decomposition.dim - 2) * float(decay[2])
 
-    remainder = _modal_remainder(decomposition, amplitudes, derivatives, t)
     remainder_lhs = float(np.linalg.norm(remainder))
     remainder_rhs = c["c_r1"] * float(decay[2]) + c["c_r2"] * float(decay[1])
 
@@ -334,13 +326,12 @@ def lemma2_slow_mode(
         |dT a_2| <= R_T ||w_2|| E_2 W_norm ||p0 - pi|| + ||w_2|| ||dT pi||
     """
     t = _check_certifiable(decomposition, amplitudes, t)
-    sensitivity = _slow_mode_sensitivity(decomposition, amplitudes, derivatives, t)
+    _, envelope, sensitivity, _ = _slow_mode_split_at(decomposition, amplitudes, derivatives, t)
     a2, dlam2 = sensitivity.a2, sensitivity.dT_lambda2
-    envelope = math.exp(-float(decomposition.eigenvalues[1]) * t)
     triangle_rhs = t * abs(a2) * abs(dlam2) * envelope - sensitivity.b_of_t
     triangle_lhs = abs(sensitivity.s_of_t)
 
-    c = _instance_constants(decomposition, derivatives, amplitudes, t)
+    c = _time_free_constants(decomposition, derivatives, amplitudes)  # no bound here depends on t
     amp_bound_lhs = abs(sensitivity.dT_a2)
     amp_bound_rhs = (
         c["r_t"] * c["w2_norm"] * c["e2"] * c["w_norm"] * c["delta_norm"]
@@ -414,8 +405,8 @@ def slow_mode_split(
     rounding as an identity of the perturbation route, not by construction.
     """
     t = _check_certifiable(decomposition, amplitudes, t)
-    sensitivity = _slow_mode_sensitivity(decomposition, amplitudes, derivatives, t)
-    return sensitivity.s_of_t, _modal_remainder(decomposition, amplitudes, derivatives, t)
+    _, _, sensitivity, remainder = _slow_mode_split_at(decomposition, amplitudes, derivatives, t)
+    return sensitivity.s_of_t, remainder
 
 
 @dataclass(frozen=True)

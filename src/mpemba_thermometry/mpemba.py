@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import check_grid
+from .grids import check_grid, check_times
 
 __all__ = [
     "TrajectoryOrderingError",
@@ -119,15 +119,15 @@ def detect_inversion(
 ) -> InversionRecord:
     """Scan for the first time D_hot < D_cold - delta_tol on a grid, in ``norm_kind``.
 
-    ``hot`` and ``cold`` map times to states.  Each receives the whole grid
-    once and returns one state per time (a scalar or a population row); the
-    grid crossing is then refined by bisection to 1e-9 in t, calling each with
-    a float t on the bracketing interval only.  Requires D_hot(0) >= D_cold(0):
-    the labels encode the initial ordering.
+    ``times`` passes both rules of :mod:`.grids`.  ``hot`` and ``cold`` map times
+    to states.  Each receives the whole grid once and returns one state per time (a
+    scalar or a population row); the grid crossing is then refined by bisection to
+    1e-9 in t, calling each with a float t on the bracketing interval only.
+    Requires D_hot(0) >= D_cold(0): the labels encode the initial ordering.
     """
     if delta_tol < 0:
         raise ValueError(f"delta_tol must be non-negative, got {delta_tol}")
-    times = check_grid(times, "times", 2)
+    times = check_times(check_grid(times, "times", 2))
 
     hot_values = np.asarray(hot(times), dtype=float)
     cold_values = np.asarray(cold(times), dtype=float)
@@ -198,9 +198,9 @@ def theorem_hierarchy_check(
 
     ``instance`` provides hot_fisher(t), cold_fisher(t), equilibrium_fisher().
     Each of hot_fisher and cold_fisher is called once, with the whole array of
-    checked times, and returns one value per time.
+    times checked by :func:`.grids.check_times`, and returns one value per time.
     """
-    grid = np.asarray(t_grid, dtype=float)
+    grid = check_times(t_grid)
     after = grid[grid >= t_star]
     if after.size == 0 or after[0] > t_star:
         after = np.concatenate(([t_star], after))

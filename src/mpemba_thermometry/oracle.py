@@ -73,13 +73,11 @@ class DerivativeEstimate:
     """Central-difference derivative with a two-step error estimate.
 
     ``value`` is the half-step estimate D_{h/2}; ``error_estimate`` bounds its
-    truncation error via Richardson comparison of the h and h/2 stencils;
-    ``richardson`` is the fourth-order extrapolant (4 D_{h/2} - D_h)/3.
+    truncation error via Richardson comparison of the h and h/2 stencils.
     """
 
     value: float | np.ndarray
     error_estimate: float
-    richardson: float | np.ndarray
 
 
 def _rk4_step_scalar(f: Callable[[float, float], float], t: float, y: float, h: float) -> float:
@@ -245,7 +243,4 @@ def finite_difference_dT(
     d_h = central(h)
     d_h2 = central(0.5 * h)
     err = (4.0 / 3.0) * float(np.max(np.abs(d_h - d_h2)))
-    rich = (4.0 * d_h2 - d_h) / 3.0
-    if d_h2.ndim == 0:
-        return DerivativeEstimate(value=float(d_h2), error_estimate=err, richardson=float(rich))
-    return DerivativeEstimate(value=d_h2, error_estimate=err, richardson=rich)
+    return DerivativeEstimate(value=float(d_h2) if d_h2.ndim == 0 else d_h2, error_estimate=err)

@@ -365,8 +365,8 @@ def dynamical_calibration(
     The default margin policy ``"3se"`` sets delta to three combined binomial
     standard errors, with frequencies clipped to [1/(2 shots), 1 - 1/(2 shots)]
     so empty cells do not produce a zero margin; a float sets a constant
-    margin; the noiseless mode (shots = 0) uses delta = 0.  The temperatures
-    must be strictly increasing, the rule of every scan grid.
+    margin; the noiseless mode (shots = 0) uses delta = 0.  Both grids follow
+    the scan-grid rule, and the time grid the time rule as well.
 
     Cell layout per temperature j, with M time points: equilibrium reference
     at ``CELLS_DYNAMICAL + j (2 M + 1)``, then hot/cold pairs at the following
@@ -385,7 +385,7 @@ def dynamical_calibration(
     delta >= 0, cannot exceed D_hot, so skipping it changes no crossing.
     """
     temps = check_grid(temperatures, "temperatures", 1)
-    times = check_grid(time_grid, "time_grid", 2)
+    times = check_times(check_grid(time_grid, "time_grid", 2))
     if isinstance(delta_policy, str):
         if delta_policy != "3se":
             raise ValueError(f"unknown delta policy {delta_policy!r}")

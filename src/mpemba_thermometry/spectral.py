@@ -66,7 +66,6 @@ __all__ = [
     "project_initial",
     "modal_trajectory",
     "temperature_derivatives",
-    "dT_amplitudes",
     "amplitudes_with_derivatives",
     "dT_populations_modal",
     "finite_difference_spectrum",
@@ -234,9 +233,9 @@ def build_lambda_rate_matrix(
     )
 
 
-def validate_rate_matrix(rate_matrix: RateMatrix) -> None:
+def validate_rate_matrix(rate_matrix: RateMatrix) -> np.ndarray:
     """Check finite entries (first: NaN fails no later comparison), column sums,
-    off-diagonal signs, and detailed balance against pi."""
+    off-diagonal signs, and detailed balance against pi; returns that pi."""
     r = rate_matrix.entries
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise RateMatrixError(f"entries must be square, got shape {r.shape}")
@@ -262,6 +261,7 @@ def validate_rate_matrix(rate_matrix: RateMatrix) -> None:
                     f"detailed balance violated on pair ({i}, {j}): "
                     f"{flow_ij:.9g} vs {flow_ji:.9g}"
                 )
+    return pi
 
 
 def decompose(rate_matrix: RateMatrix) -> SpectralDecomposition:
@@ -272,9 +272,8 @@ def decompose(rate_matrix: RateMatrix) -> SpectralDecomposition:
     symmetrize the generator (the real-spectrum guarantee rests on it), and
     :class:`DegenerateSpectrumError` if two decay rates collide.
     """
-    validate_rate_matrix(rate_matrix)
+    pi = validate_rate_matrix(rate_matrix)
     n = rate_matrix.dim
-    pi = gibbs_vector(rate_matrix.energies, rate_matrix.temperature)
     empty = int(np.argmin(pi))
     if pi[empty] < np.finfo(float).tiny:
         raise RateMatrixError(
@@ -413,26 +412,19 @@ def temperature_derivatives(
     )
 
 
-def dT_amplitudes(
-    decomposition: SpectralDecomposition,
-    derivatives: SpectralDerivatives,
-    p0: np.ndarray,
-) -> np.ndarray:
-    """dT a_k = (dT w_k) . (p0 - pi) - w_k . (dT pi) at fixed preparation."""
-    p0 = _check_simplex(p0)
-    delta = p0 - decomposition.stationary
-    return derivatives.d_left_modes.T @ delta - decomposition.left_modes.T @ derivatives.d_stationary
-
-
 def amplitudes_with_derivatives(
     decomposition: SpectralDecomposition,
     derivatives: SpectralDerivatives,
     p0: np.ndarray,
 ) -> ModalAmplitudes:
-    base = project_initial(decomposition, p0)
+    """a_k = w_k . (p0 - pi) and, at fixed preparation,
+    dT a_k = (dT w_k) . (p0 - pi) - w_k . (dT pi), from one simplex check and
+    one p0 - pi; the a_k are :func:`project_initial`'s bit for bit."""
+    delta = _check_simplex(p0) - decomposition.stationary
+    left = decomposition.left_modes
     return ModalAmplitudes(
-        amplitudes=base.amplitudes,
-        dT_amplitudes=dT_amplitudes(decomposition, derivatives, p0),
+        amplitudes=left.T @ delta,
+        dT_amplitudes=derivatives.d_left_modes.T @ delta - left.T @ derivatives.d_stationary,
     )
 
 

@@ -1,11 +1,13 @@
 """Public API hygiene: every exported name resolves, every public function
 or class a module defines is exported, and every public function is named
 outside its module, so stale exports cannot survive a deletion, new public
-names cannot go unlisted and no export lives without a caller."""
+names cannot go unlisted and no export lives without a caller.  The counts
+of ``tools/surface_counts.py`` are checked against the imported package."""
 
 import ast
-import importlib
+import importlib.util
 import inspect
+import json
 import pkgutil
 import subprocess
 import sys
@@ -44,19 +46,57 @@ def test_every_public_definition_is_exported(module):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+PACKAGE_MODULES = frozenset(module.__name__.rsplit(".", 1)[-1] for module in MODULES)
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """The local names an import binds to the package or one of its modules."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``, ``import a.b as c`` binds ``c``
+            bound.update(
+                alias.asname or "mpemba_thermometry"
+                for alias in node.names
+                if alias.name.split(".")[0] == "mpemba_thermometry"
+            )
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level == 1 and node.module is None
+            or node.level == 0 and node.module == "mpemba_thermometry"
+        ):
+            bound.update(
+                alias.asname or alias.name for alias in node.names if alias.name in PACKAGE_MODULES
+            )
+    return bound
+
+
 @cache
-def referenced_names(path: Path) -> frozenset[str]:
-    """The identifiers ``path`` names: ``Name`` nodes, ``Attribute`` attrs, and the
-    imported name and local name of each import alias."""
+def caller_names(path: Path) -> frozenset[str]:
+    """The identifiers ``path`` names as a caller can: ``Name`` nodes, the imported
+    name and local name of each import alias, and an ``Attribute`` attr only on a
+    name that an import binds to a package module, as in ``spectral.decompose``.
+    A field read such as ``amps.dT_amplitudes`` names no function."""
+    tree = ast.parse(path.read_text())
+    modules = module_names(tree)
     named = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                named.add(node.attr)
         elif isinstance(node, ast.alias):
             named.update({node.name.rsplit(".", 1)[-1], node.asname or node.name})
     return frozenset(named)
+
+
+@cache
+def referenced_names(path: Path) -> frozenset[str]:
+    """The identifiers ``path`` names: its :func:`caller_names` and every
+    ``Attribute`` attr."""
+    tree = ast.parse(path.read_text())
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return caller_names(path) | attributes
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -68,7 +108,7 @@ def test_every_public_function_has_a_caller_outside_its_module(module):
     for folder in ("src", "perfbench", "tests"):
         for path in (ROOT / folder).rglob("*.py"):
             if path != own and path.name != "__init__.py":
-                outside |= referenced_names(path)
+                outside |= caller_names(path)
     public = [
         name
         for name, obj in vars(module).items()
@@ -228,3 +268,50 @@ def test_mpemba_imports_no_model_module():
 
     models = model_imports(mpemba)
     assert not models, f"mpemba.py imports model modules: {models}"
+
+
+def load_surface_counts():
+    path = ROOT / "tools" / "surface_counts.py"
+    spec = importlib.util.spec_from_file_location("surface_counts", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def defaulted_parameters(function) -> int:
+    parameters = inspect.signature(function).parameters.values()
+    return sum(parameter.default is not inspect.Parameter.empty for parameter in parameters)
+
+
+def test_the_surface_counts_agree_with_the_imported_package():
+    # the tool reads the source as text; each count is checked here by another route
+    counts = load_surface_counts().counts()
+    package = ROOT / "src" / "mpemba_thermometry"
+    lines = {path.name: len(path.read_text().splitlines()) for path in package.glob("*.py")}
+    assert counts["lines"] == lines
+    assert counts["lines_total"] == sum(lines.values())
+    assert counts["exports"] == sum(len(module.__all__) for module in MODULES)
+    defaulted = 0
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                defaulted += defaulted_parameters(obj)
+            elif inspect.isclass(obj):
+                defaulted += sum(
+                    defaulted_parameters(method)
+                    for method_name, method in vars(obj).items()
+                    if not method_name.startswith("_") and inspect.isfunction(method)
+                )
+    assert counts["defaulted_parameters"] == defaulted
+
+
+def test_the_surface_counts_print_the_same_bytes_twice():
+    command = [sys.executable, str(ROOT / "tools" / "surface_counts.py")]
+    first, second = (
+        subprocess.run(command, capture_output=True, check=True, timeout=60).stdout
+        for _ in range(2)
+    )
+    assert first == second
+    assert json.loads(first) == load_surface_counts().counts()

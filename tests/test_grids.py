@@ -4,13 +4,15 @@ Every time evaluator takes ``t`` by :func:`grids.check_times`: a float gives a
 float (or one population vector, the one-row grid's row), a 1-D array one row
 per time, an empty array an empty result, and 2-D, negative and non-finite
 times raise the rule's own ``ValueError``.  The lemma certificates take a
-float ``t`` only.  Every scan takes its grid by :func:`grids.check_grid`.
+float ``t`` only.  Every scan takes its grid by :func:`grids.check_grid`, and
+a grid of times follows the time rule as well.
 The t = 0 regime is pinned here too: the preparation itself, exact zero
 sensitivity and Fisher information, and thermalized probes that hold pi.
 """
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from mpemba_thermometry import (
     modal_trajectory,
     qfi_qubit_closed_form,
     temperature_derivatives,
+    theorem_hierarchy_check,
 )
 from mpemba_thermometry.certificates import (
     compute_lemma_constants,
@@ -214,6 +217,22 @@ def qubit_population(t, temperature: float):
     return evolve_population(QubitBathParams(1.0, 1.0, temperature, 1.0), P0_HOT, t)
 
 
+def constant(value: float):
+    """A function of t that checks no time: ``value`` at every time."""
+    return lambda t: np.full(np.shape(t), value)
+
+
+# closures that check no time, so the scans must check their times themselves
+DRIFTING_PAIR = SimpleNamespace(
+    equilibrium=0.5,
+    hot_population=lambda t: 0.6 - 0.05 * np.asarray(t),
+    cold_population=constant(0.7),
+)
+FLAT_FISHER = SimpleNamespace(
+    hot_fisher=constant(2.0), cold_fisher=constant(1.5), equilibrium_fisher=lambda: 1.0
+)
+
+
 # each scan with the argument name its grid is reported under and its minimum size
 SCANS = {
     "detect_inversion": (
@@ -257,6 +276,24 @@ SCANS = {
         "times",
         1,
     ),
+    "detect_inversion times": (
+        lambda grid: detect_inversion(
+            lambda t: 0.8 - 0.1 * np.asarray(t), constant(0.25), 0.5, grid, norm_kind="scalar_abs"
+        ),
+        "times",
+        2,
+    ),
+    "dynamical_calibration times": (
+        lambda grid: dynamical_calibration(lambda T: DRIFTING_PAIR, [0.5], grid, shots=0, seed=0),
+        "time_grid",
+        2,
+    ),
+}
+# the scans whose grid holds times, so that it follows the time rule too; the
+# Fisher hierarchy takes its grid by the time rule alone
+TIME_SCANS = {
+    **{name: SCANS[name][0] for name in SCANS if name.endswith(" times")},
+    "theorem_hierarchy_check": lambda grid: theorem_hierarchy_check(FLAT_FISHER, 0.5, grid),
 }
 
 
@@ -280,6 +317,12 @@ class TestGridRule:
     def test_the_fisher_map_times_follow_the_time_rule_too(self, grid):
         scan = SCANS["fisher_map times"][0]
         assert message(scan, grid) == message(check_times, grid)
+
+    @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0], [0.0, math.inf], [0.5, 1.0, math.inf]])
+    @pytest.mark.parametrize("name", TIME_SCANS)
+    def test_every_time_grid_follows_the_time_rule(self, name, grid):
+        # negative times gave crossings, and reports, before t = 0
+        assert message(TIME_SCANS[name], grid) == message(check_times, grid)
 
     def test_the_rule_returns_a_float_array(self):
         grid = check_grid([0, 1, 3], "times", 2)

@@ -390,6 +390,54 @@ class TestTemperatureResponse:
             )
 
 
+def ladders_with_preparations():
+    """The canonical ladder with both preparations, then ten random ladders each
+    with one random preparation."""
+    ladder = build_lambda_rate_matrix(**LADDER)
+    cases = [(ladder, LADDER_HOT), (ladder, LADDER_COLD)]
+    rng = np.random.default_rng(6174)
+    for _ in range(10):
+        matrix = random_ladder(rng)
+        cases.append((matrix, random_preparation(rng, decompose(matrix).stationary)))
+    return cases
+
+
+class TestAmplitudePass:
+    """a_k and dT a_k come from one simplex check and one p0 - pi, and the
+    decomposition takes its pi from the balance check."""
+
+    def test_amplitudes_are_the_projection(self):
+        for matrix, p0 in ladders_with_preparations():
+            dec = decompose(matrix)
+            amps = amplitudes_with_derivatives(dec, temperature_derivatives(matrix, dec), p0)
+            assert amps.amplitudes.tobytes() == project_initial(dec, p0).amplitudes.tobytes()
+
+    def test_amplitude_slopes_are_the_written_out_rule(self):
+        for matrix, p0 in ladders_with_preparations():
+            dec = decompose(matrix)
+            der = temperature_derivatives(matrix, dec)
+            delta = np.asarray(p0, dtype=float) - dec.stationary
+            expected = der.d_left_modes.T @ delta - dec.left_modes.T @ der.d_stationary
+            amps = amplitudes_with_derivatives(dec, der, p0)
+            assert amps.dT_amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "p0, expected",
+        [
+            ([0.5, 0.5, 0.5], "populations sum to 1.5, not 1"),
+            ([1.2, -0.2, 0.0], "negative population -0.2"),
+        ],
+    )
+    def test_a_preparation_off_the_simplex_is_rejected(self, ladder, ladder_spectrum, p0, expected):
+        der = temperature_derivatives(ladder, ladder_spectrum)
+        with pytest.raises(SimplexError, match=f"^{re.escape(expected)}$"):
+            amplitudes_with_derivatives(ladder_spectrum, der, np.array(p0))
+
+    def test_the_balance_check_returns_the_stationary_vector(self):
+        for matrix, _ in ladders_with_preparations():
+            assert np.array_equal(validate_rate_matrix(matrix), decompose(matrix).stationary)
+
+
 class TestTimeArrays:
     """dT_populations_modal over a time array, against one float call per time."""
 
