@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grids import check_times
+from .grids import check_positive, check_times
 from .instances import ProbePair
 from .mpemba import HierarchyReport, InversionRecord, theorem_hierarchy_check
 from .spectral import ModalAmplitudes, SpectralDecomposition, SpectralDerivatives
@@ -379,14 +379,13 @@ def lemma3_fi_gap_bound(
     """Metric lower bound on F_hot - F_cold from the slow-mode separation.
 
     m_low (|dS| ||v_2||)^2 - 2 m_low |dS| ||v_2|| ||dR|| - m_low ||dR||^2 with
-    dS = S_hot - S_cold and dR the remainder difference.  Meaningful (positive)
-    only when the slow-mode separation dominates the remainders; callers must
-    treat non-positive values as "no certified gap", and even a positive value
-    is a *claimed* bound whose validity condition (remainders small in the
-    metric sense) is checked empirically by the verification layer.
+    dS = S_hot - S_cold and dR the remainder difference, for m_low > 0 (NaN raises).
+    Meaningful (positive) only when the slow-mode separation dominates the remainders;
+    callers must treat non-positive values as "no certified gap", and even a positive
+    value is a *claimed* bound whose validity condition (remainders small in the metric
+    sense) is checked empirically by the verification layer.
     """
-    if m_low <= 0:
-        raise ValueError(f"m_low must be positive, got {m_low}")
+    check_positive("m_low", m_low)
     ds = abs(s_hot - s_cold) * float(np.linalg.norm(v2))
     dr = float(np.linalg.norm(np.asarray(remainder_hot) - np.asarray(remainder_cold)))
     return m_low * (ds * ds - 2.0 * ds * dr - dr * dr)

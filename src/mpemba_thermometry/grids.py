@@ -1,13 +1,14 @@
-"""The rules for evaluation points: the time argument ``t`` and the scan grids.
+"""The package's three families of input rules: times ``t``, scan grids, scalar parameters.
 
-It imports nothing from the package, so every module can import it.
+Each rule rejects NaN and owns its message.  It imports nothing from the
+package, so every module can import it.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["check_times", "check_grid"]
+__all__ = ["check_times", "check_grid", "check_positive", "check_non_negative", "check_probability"]
 
 
 def check_times(t) -> np.ndarray:
@@ -37,3 +38,21 @@ def check_grid(values, name: str, min_points: int) -> np.ndarray:
     if not np.all(np.diff(grid) > 0):  # a NaN compares false, so it fails here too
         raise ValueError(f"{name} must be strictly increasing")
     return grid
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject ``value`` unless it is > 0; NaN is rejected."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def check_non_negative(name: str, value: float) -> None:
+    """Reject ``value`` unless it is >= 0 (-0.0 passes); NaN is rejected."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def check_probability(name: str, value: float) -> None:
+    """Reject ``value`` unless it lies in [0, 1]; NaN is rejected."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")

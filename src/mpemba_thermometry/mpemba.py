@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import check_grid, check_times
+from .grids import check_grid, check_non_negative, check_times
 
 __all__ = [
     "TrajectoryOrderingError",
@@ -119,14 +119,13 @@ def detect_inversion(
 ) -> InversionRecord:
     """Scan for the first time D_hot < D_cold - delta_tol on a grid, in ``norm_kind``.
 
-    ``times`` passes both rules of :mod:`.grids`.  ``hot`` and ``cold`` map times
-    to states.  Each receives the whole grid once and returns one state per time (a
-    scalar or a population row); the grid crossing is then refined by bisection to
-    1e-9 in t, calling each with a float t on the bracketing interval only.
+    ``times`` passes the grid and time rules of :mod:`.grids`, ``delta_tol`` the
+    non-negative rule (NaN raises).  ``hot`` and ``cold`` map the whole grid, once, to
+    one state per time (a scalar or a population row); the crossing is then bisected
+    to 1e-9 in t with float calls on the bracketing interval only.
     Requires D_hot(0) >= D_cold(0): the labels encode the initial ordering.
     """
-    if delta_tol < 0:
-        raise ValueError(f"delta_tol must be non-negative, got {delta_tol}")
+    check_non_negative("delta_tol", delta_tol)
     times = check_times(check_grid(times, "times", 2))
 
     hot_values = np.asarray(hot(times), dtype=float)
@@ -177,13 +176,13 @@ def detect_inversion(
 
 
 def qfi_gain(fisher_hot, fisher_reference):
-    """log10(F_hot / F_ref); -inf where F_hot vanishes.  Requires F_ref > 0."""
+    """log10(F_hot / F_ref); -inf where F_hot is 0.  Requires F_ref > 0, F_hot >= 0, not NaN."""
     hot = np.asarray(fisher_hot, dtype=float)
     ref = np.asarray(fisher_reference, dtype=float)
-    if np.any(ref <= 0):
+    if not np.all(ref > 0):  # NaN included
         raise ValueError("reference Fisher information must be strictly positive")
-    if np.any(hot < 0):
-        raise ValueError("Fisher information cannot be negative")
+    if not np.all(hot >= 0):
+        raise ValueError("Fisher information must be non-negative")
     with np.errstate(divide="ignore"):
         out = np.log10(hot) - np.log10(ref)
     return float(out) if out.ndim == 0 else out
@@ -196,10 +195,13 @@ def theorem_hierarchy_check(
 ) -> HierarchyReport:
     """Check F_hot(t) > F_cold(t) >= F_eq pointwise for t >= t_star.
 
-    ``instance`` provides hot_fisher(t), cold_fisher(t), equilibrium_fisher().
-    Each of hot_fisher and cold_fisher is called once, with the whole array of
-    times checked by :func:`.grids.check_times`, and returns one value per time.
+    ``instance`` provides hot_fisher(t), cold_fisher(t), equilibrium_fisher().  A float
+    ``t_star`` and ``t_grid`` follow :func:`.grids.check_times`; hot_fisher and cold_fisher
+    are each called once, on the whole array of times, and return one value per time.
     """
+    if np.ndim(t_star) != 0:
+        raise ValueError(f"t_star must be a float, got shape {np.shape(t_star)}")
+    t_star = float(check_times(t_star))
     grid = check_times(t_grid)
     after = grid[grid >= t_star]
     if after.size == 0 or after[0] > t_star:

@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .grids import check_grid, check_times
+from .grids import check_grid, check_probability, check_times
 from .instances import ProbePair, measured_level
 
 __all__ = [
@@ -160,11 +160,6 @@ def _check_key(seed: int, cell: int) -> None:
         raise ValueError(f"seed and cell must be below 2**64, got ({seed}, {cell})")
 
 
-def _check_probability(p_true: float) -> None:
-    if not 0.0 <= p_true <= 1.0:
-        raise ValueError(f"p_true must lie in [0, 1], got {p_true}")
-
-
 def sampling_stream(seed: int, cell: int) -> np.random.Generator:
     """Counter-based generator for one sampling cell."""
     _check_key(seed, cell)
@@ -181,7 +176,7 @@ def _checked_block(p_true: Sequence[float] | np.ndarray) -> list[float]:
     values = np.asarray(p_true, dtype=float)
     inside = (values >= 0.0) & (values <= 1.0)
     if not inside.all():
-        _check_probability(float(values[np.argmin(inside)]))
+        check_probability("p_true", float(values[np.argmin(inside)]))
     return values.tolist()
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import check_times
+from .grids import check_non_negative, check_positive, check_probability, check_times
 
 __all__ = [
     "ColdLimitWarning",
@@ -61,14 +61,10 @@ class UnphysicalRateError(ValueError):
     """The effective relaxation rate came out non-positive."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
 @dataclass(frozen=True)
 class QubitBathParams:
-    """Probe splitting, bare coupling, bath temperature, and rate-mixing strength."""
+    """Probe splitting, bare coupling, bath temperature, and rate-mixing strength:
+    the first three positive, alpha non-negative, NaN rejected (:mod:`.grids` rules)."""
 
     omega0: float
     gamma: float
@@ -76,11 +72,10 @@ class QubitBathParams:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_positive("omega0", self.omega0)
-        _require_positive("gamma", self.gamma)
-        _require_positive("temperature", self.temperature)
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        check_positive("omega0", self.omega0)
+        check_positive("gamma", self.gamma)
+        check_positive("temperature", self.temperature)
+        check_non_negative("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,8 @@ class ThermalQuantities:
 
 
 def _cold(omega0: float, temperature: float) -> bool:
+    check_positive("omega0", omega0)
+    check_positive("temperature", temperature)
     if omega0 / temperature > COLD_CUTOFF:
         # attributed to this line, not to the caller, so that the default
         # filter shows a cold run's warning once whichever callers reach it
@@ -107,8 +104,6 @@ def _cold(omega0: float, temperature: float) -> bool:
 
 def bose_occupation(omega0: float, temperature: float) -> float:
     """Mean bath occupation 1 / (exp(omega0/T) - 1)."""
-    _require_positive("omega0", omega0)
-    _require_positive("temperature", temperature)
     if _cold(omega0, temperature):
         return 0.0
     return 1.0 / math.expm1(omega0 / temperature)
@@ -116,8 +111,6 @@ def bose_occupation(omega0: float, temperature: float) -> float:
 
 def gibbs_population_qubit(omega0: float, temperature: float) -> float:
     """Equilibrium excited population 1 / (1 + exp(omega0/T))."""
-    _require_positive("omega0", omega0)
-    _require_positive("temperature", temperature)
     if _cold(omega0, temperature):
         return 0.0
     return 1.0 / (1.0 + math.exp(omega0 / temperature))
@@ -132,15 +125,10 @@ def thermal_quantities(params: QubitBathParams) -> ThermalQuantities:
     )
 
 
-def _check_population(name: str, p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {p}")
-
-
 def _rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:
-    _check_population("p0", p0)
+    check_probability("p0", p0)
     rate = q.gamma0 * (1.0 + params.alpha * (p0 - q.p_eq))
-    if rate <= 0.0:
+    if not rate > 0.0:  # NaN included
         raise UnphysicalRateError(
             f"effective rate {rate:.6g} is non-positive (alpha={params.alpha}, "
             f"p0={p0}, p_eq={q.p_eq:.6g})"
@@ -182,7 +170,7 @@ def dT_bose(omega0: float, temperature: float) -> float:
 
 
 def _dT_rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:
-    _check_population("p0", p0)
+    check_probability("p0", p0)
     d_gamma0 = 2.0 * params.gamma * dT_bose(params.omega0, params.temperature)
     d_peq = dT_gibbs(params.omega0, params.temperature)
     return d_gamma0 * (1.0 + params.alpha * (p0 - q.p_eq)) - params.alpha * q.gamma0 * d_peq

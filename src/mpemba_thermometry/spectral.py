@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import check_times
+from .grids import check_positive, check_times
 from .qubit import bose_occupation, dT_bose
 
 __all__ = [
@@ -153,11 +153,9 @@ def gibbs_vector(energies: np.ndarray, temperature: float) -> np.ndarray:
 
     The energies are shifted by their minimum, so the largest weight is 1.
     The exponent is (E_i - E_min) / -T, which equals -(E_i - E_min) / T bit
-    for bit in IEEE arithmetic.  A temperature that is not positive, NaN
-    included, raises, by the rule of :func:`~mpemba_thermometry.qubit.bose_occupation`.
+    for bit in IEEE arithmetic.  The temperature follows :func:`.grids.check_positive`.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_positive("temperature", temperature)
     energies = np.asarray(energies, dtype=float)
     weights = np.exp((energies - np.minimum.reduce(energies, axis=None)) / -temperature)
     return weights / np.add.reduce(weights, axis=None)
@@ -201,13 +199,12 @@ def build_lambda_rate_matrix(
     Excitation i -> 3 proceeds at kappa_i * nbar(e3 - e_i) and decay 3 -> i at
     kappa_i * (nbar(e3 - e_i) + 1); there is no direct 1 <-> 2 channel.  The
     column-sum-zero layout makes conservation exact by construction, for R
-    and for dT R (nbar -> dT nbar, the "+1" dropped) alike.
+    and for dT R (nbar -> dT nbar, the "+1" dropped) alike.  A NaN level or kappa raises.
     """
-    if e3 <= e1 or e3 <= e2:
+    if not (e3 > e1 and e3 > e2):  # NaN included
         raise ValueError(f"top level must lie above both low levels, got ({e1}, {e2}, {e3})")
-    for name, kappa in (("kappa1", kappa1), ("kappa2", kappa2)):
-        if kappa <= 0:
-            raise ValueError(f"{name} must be positive, got {kappa}")
+    check_positive("kappa1", kappa1)
+    check_positive("kappa2", kappa2)
 
     def layout(n1: float, n2: float, one: float) -> np.ndarray:
         up1 = kappa1 * n1

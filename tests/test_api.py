@@ -1,8 +1,9 @@
 """Public API hygiene: every exported name resolves, every public function
 or class a module defines is exported, and every public function is named
 outside its module, so stale exports cannot survive a deletion, new public
-names cannot go unlisted and no export lives without a caller.  The counts
-of ``tools/surface_counts.py`` are checked against the imported package."""
+names cannot go unlisted and no export lives without a caller.  No module
+but ``grids`` writes a scalar parameter rule by hand.  The counts of
+``tools/surface_counts.py`` are checked against the imported package."""
 
 import ast
 import importlib.util
@@ -175,6 +176,46 @@ def test_no_module_imports_private_names_of_another(module):
     # a module's underscore names are its own; a caller uses the public ones
     taken = private_imports(module)
     assert not taken, f"{module.__name__} takes private names: {taken}"
+
+
+# the wording of the scalar parameter rules of ``grids``, each followed by the value
+RULE_WORDINGS = ("must be positive, got ", "must be non-negative, got ", "must lie in [0, 1], got ")
+
+
+def hand_written_rules(module) -> list[str]:
+    """Lines where ``module`` raises ``ValueError`` with a rule's wording of its own:
+    an f-string whose literal text ends in a wording directly before a formatted value."""
+    flagged = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if not (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "ValueError"
+        ):
+            continue
+        strings = [arg for arg in node.exc.args if isinstance(arg, ast.JoinedStr)]
+        parts = [part for string in strings for part in string.values]
+        if any(
+            isinstance(text, ast.Constant)
+            and isinstance(value, ast.FormattedValue)
+            and text.value.endswith(RULE_WORDINGS)
+            for text, value in zip(parts, parts[1:])
+        ):
+            flagged.append(node.lineno)
+    return [f"{module.__name__}:{line}" for line in sorted(flagged)]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [module for module in MODULES if not module.__name__.endswith(".grids")],
+    ids=lambda m: m.__name__,
+)
+def test_scalar_parameters_are_checked_by_the_grids_rules(module):
+    # a positivity, sign or probability check written by hand is another
+    # copy of a rule; four such copies compared with < or <= and let NaN through
+    flagged = hand_written_rules(module)
+    assert not flagged, f"hand-written parameter rules at {flagged}; use the grids rules"
 
 
 def test_oracle_imports_nothing_from_the_package():

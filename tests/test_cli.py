@@ -23,6 +23,8 @@ from mpemba_thermometry.protocol import BoundaryMaximumWarning, calibrate_equili
 from mpemba_thermometry.qubit import (
     ColdLimitWarning,
     QubitBathParams,
+    UnphysicalRateError,
+    effective_rate,
     evolve_population,
     gibbs_population_qubit,
 )
@@ -665,6 +667,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "alpha = 20.0\np0_cold = 0.0\n")
         assert main([command, "--config", cfg, "--output", str(tmp_path)]) == 3
         assert "non-positive" in capsys.readouterr().err
+
+    def test_relax_names_the_non_positive_rate(self, tmp_path, capsys):
+        # the cold preparation's feedback factor 1 + alpha (p0 - p_eq) is negative
+        cfg = write_config(tmp_path, "alpha = 20.0\np0_cold = 0.05\n")
+        assert main(["relax", "--config", cfg, "--output", str(tmp_path / "out")]) == 3
+        with pytest.raises(UnphysicalRateError) as info:
+            effective_rate(QubitBathParams(1.0, 1.0, 0.5, 20.0), 0.05)
+        assert capsys.readouterr().err == f"numerical failure: {info.value}\n"
+        text = str(info.value)
+        assert text.startswith("effective rate -0.")
+        assert "is non-positive (alpha=20.0, p0=0.05," in text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["relax", "qfi", "theorem"])
     def test_cold_ladder_is_numerical_failure(self, tmp_path, capsys, command):

@@ -1,11 +1,15 @@
-"""The one rule for times and the one rule for scan grids, held by every caller.
+"""The one rule for times, the one rule for scan grids and the three rules for
+scalar parameters, held by every caller.
 
 Every time evaluator takes ``t`` by :func:`grids.check_times`: a float gives a
 float (or one population vector, the one-row grid's row), a 1-D array one row
 per time, an empty array an empty result, and 2-D, negative and non-finite
 times raise the rule's own ``ValueError``.  The lemma certificates take a
 float ``t`` only.  Every scan takes its grid by :func:`grids.check_grid`, and
-a grid of times follows the time rule as well.
+a grid of times follows the time rule as well.  Every scalar parameter is
+checked by :func:`grids.check_positive`, :func:`grids.check_non_negative` or
+:func:`grids.check_probability`, so NaN and the edge value raise the rule's
+own message at every site.
 The t = 0 regime is pinned here too: the preparation itself, exact zero
 sensitivity and Fisher information, and thermalized probes that hold pi.
 """
@@ -19,11 +23,13 @@ import pytest
 
 from mpemba_thermometry import (
     QubitBathParams,
+    bose_occupation,
     build_lambda_rate_matrix,
     decompose,
     dT_population,
     dT_populations_modal,
     detect_inversion,
+    effective_rate,
     evolve_population,
     gibbs_population_qubit,
     make_lambda_pair,
@@ -37,12 +43,26 @@ from mpemba_thermometry.certificates import (
     compute_lemma_constants,
     lemma1_remainder_check,
     lemma2_slow_mode,
+    lemma3_fi_gap_bound,
     slow_mode_split,
+    verify_theorem,
 )
-from mpemba_thermometry.grids import check_grid, check_times
+from mpemba_thermometry.grids import (
+    check_grid,
+    check_non_negative,
+    check_positive,
+    check_probability,
+    check_times,
+)
 from mpemba_thermometry.instances import make_lambda_probe, make_qubit_probe
-from mpemba_thermometry.protocol import calibrate_equilibrium, dynamical_calibration, fisher_map
-from mpemba_thermometry.spectral import amplitudes_with_derivatives
+from mpemba_thermometry.protocol import (
+    calibrate_equilibrium,
+    dynamical_calibration,
+    fisher_map,
+    sample_population,
+)
+from mpemba_thermometry.qubit import dT_rate
+from mpemba_thermometry.spectral import amplitudes_with_derivatives, gibbs_vector
 
 from conftest import CANONICAL, LADDER, LADDER_COLD, LADDER_HOT, P0_COLD, P0_HOT
 
@@ -289,6 +309,76 @@ SCANS = {
         2,
     ),
 }
+THERMAL = {"omega0": 1.0, "temperature": 0.5}
+# each site of a scalar parameter rule: (a call of the value, the parameter's
+# name, the rule, a valid value)
+PARAMETERS = {
+    **{
+        f"QubitBathParams {name}": (
+            lambda value, name=name: QubitBathParams(**{**CANONICAL, name: value}),
+            name,
+            check_non_negative if name == "alpha" else check_positive,
+            CANONICAL[name],
+        )
+        for name in CANONICAL
+    },
+    **{
+        f"{law.__name__} {name}": (
+            lambda value, law=law, name=name: law(**{**THERMAL, name: value}),
+            name,
+            check_positive,
+            0.5,
+        )
+        for law in (bose_occupation, gibbs_population_qubit)
+        for name in ("omega0", "temperature")
+    },
+    "gibbs_vector temperature": (
+        partial(gibbs_vector, np.array([0.0, 0.0, 1.0])), "temperature", check_positive, 0.5
+    ),
+    **{
+        f"build_lambda_rate_matrix {name}": (
+            lambda value, name=name: build_lambda_rate_matrix(**{**LADDER, name: value}),
+            name,
+            check_positive,
+            1.0,
+        )
+        for name in ("kappa1", "kappa2")
+    },
+    "effective_rate p0": (partial(effective_rate, QUBIT), "p0", check_probability, P0_HOT),
+    "dT_rate p0": (partial(dT_rate, QUBIT), "p0", check_probability, P0_HOT),
+    "sample_population p_true": (
+        lambda value: sample_population(value, 10, 0), "p_true", check_probability, 0.5
+    ),
+    "detect_inversion delta_tol": (
+        lambda value: detect_inversion(
+            PAIRS["qubit"].hot_population,
+            PAIRS["qubit"].cold_population,
+            PAIRS["qubit"].equilibrium,
+            np.linspace(0.0, 4.0, 41),
+            value,
+            norm_kind="scalar_abs",
+        ),
+        "delta_tol",
+        check_non_negative,
+        0.0,
+    ),
+    "ProbePair.detect delta_tol": (PAIRS["qubit"].detect, "delta_tol", check_non_negative, 0.0),
+    "verify_theorem delta_tol": (
+        lambda value: verify_theorem(PAIRS["qubit"], delta_tol=value),
+        "delta_tol",
+        check_non_negative,
+        0.0,
+    ),
+    "lemma3_fi_gap_bound m_low": (
+        partial(lemma3_fi_gap_bound, 0.5, 0.1, np.zeros(3), np.zeros(3), np.ones(3)),
+        "m_low",
+        check_positive,
+        2.0,
+    ),
+}
+# the nearest value each rule rejects
+EDGES = {check_positive: 0.0, check_non_negative: -1e-300, check_probability: 1 + 1e-15}
+
 # the scans whose grid holds times, so that it follows the time rule too; the
 # Fisher hierarchy takes its grid by the time rule alone
 TIME_SCANS = {
@@ -327,3 +417,68 @@ class TestGridRule:
     def test_the_rule_returns_a_float_array(self):
         grid = check_grid([0, 1, 3], "times", 2)
         assert grid.dtype == float and grid.tolist() == [0.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("t_star", BAD_TIMES)
+    def test_the_hierarchy_start_follows_the_time_rule(self, t_star):
+        # a negative t_star gave a report from before t = 0, a NaN one a report at nan
+        check = partial(theorem_hierarchy_check, FLAT_FISHER, t_grid=[0.0, 1.0])
+        assert message(check, t_star) == message(check_times, t_star)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (0,)], ids=str)
+    def test_the_hierarchy_start_is_one_time(self, shape):
+        t_star = np.full(shape, 0.5)
+        got = message(theorem_hierarchy_check, FLAT_FISHER, t_star, [0.0, 1.0])
+        assert got == f"t_star must be a float, got shape {shape}"
+
+    @pytest.mark.parametrize("t_star", [0.5, np.float64(0.5), np.array(0.5)], ids=repr)
+    def test_the_hierarchy_starts_at_a_float_t_star(self, t_star):
+        report = theorem_hierarchy_check(FLAT_FISHER, t_star, [0.0, 1.0])
+        assert report.times.tolist() == [0.5, 1.0] and report.all_hold
+
+
+class TestParameterRule:
+    @pytest.mark.parametrize("name", PARAMETERS)
+    def test_every_site_rejects_nan_and_the_edge_with_the_rule_message(self, name):
+        # NaN slipped past alpha, kappa1, kappa2, delta_tol and m_low, whose
+        # checks compared with < or <=
+        call, parameter, rule, valid = PARAMETERS[name]
+        call(valid)
+        for bad in (math.nan, EDGES[rule]):
+            assert message(call, bad) == message(rule, parameter, bad)
+
+    @pytest.mark.parametrize(
+        "rule, value, expected",
+        [
+            (check_positive, 0.0, "x must be positive, got 0.0"),
+            (check_positive, -0.0, "x must be positive, got -0.0"),
+            (check_positive, -math.inf, "x must be positive, got -inf"),
+            (check_positive, math.nan, "x must be positive, got nan"),
+            (check_positive, 0, "x must be positive, got 0"),
+            (check_non_negative, -1e-300, "x must be non-negative, got -1e-300"),
+            (check_non_negative, -math.inf, "x must be non-negative, got -inf"),
+            (check_non_negative, np.float64(math.nan), "x must be non-negative, got nan"),
+            (check_probability, 1 + 1e-15, "x must lie in [0, 1], got 1.000000000000001"),
+            (check_probability, -1e-300, "x must lie in [0, 1], got -1e-300"),
+            (check_probability, math.inf, "x must lie in [0, 1], got inf"),
+            (check_probability, math.nan, "x must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_a_rule_rejects_with_its_own_message(self, rule, value, expected):
+        assert message(rule, "x", value) == expected
+
+    @pytest.mark.parametrize(
+        "rule, value",
+        [
+            (check_positive, 5e-324),
+            (check_positive, math.inf),
+            (check_non_negative, 0.0),
+            (check_non_negative, -0.0),
+            (check_non_negative, 0),
+            (check_probability, 0.0),
+            (check_probability, -0.0),
+            (check_probability, 1.0),
+            (check_probability, np.float64(0.25)),
+        ],
+    )
+    def test_a_rule_passes_its_valid_values(self, rule, value):
+        assert rule("x", value) is None

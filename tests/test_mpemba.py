@@ -346,6 +346,21 @@ class TestQfiGain:
         with pytest.raises(ValueError):
             qfi_gain(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "reference", [0.0, -1.0, math.nan, np.array([1.0, math.nan])], ids=repr
+    )
+    def test_a_nan_or_non_positive_reference_is_rejected(self, reference):
+        # a NaN reference used to give a NaN gain
+        expected = "^reference Fisher information must be strictly positive$"
+        with pytest.raises(ValueError, match=expected):
+            qfi_gain(1.0, reference)
+
+    @pytest.mark.parametrize("hot", [-1e-300, math.nan, np.array([1.0, math.nan])], ids=repr)
+    def test_hot_must_be_non_negative(self, hot):
+        # a NaN hot Fisher information used to give a NaN gain
+        with pytest.raises(ValueError, match="^Fisher information must be non-negative$"):
+            qfi_gain(hot, 1.0)
+
 
 class TestHierarchyReport:
     def test_each_curve_is_one_array_call(self, ladder_pair):

@@ -802,7 +802,7 @@ class TestStageBlocks:
         assert drawn == []
 
     def test_checks_run_per_block_not_per_cell(self, monkeypatch):
-        calls = {"_check_probability": 0, "_check_key": 0}
+        calls = {"check_probability": 0, "_check_key": 0}
         for name in calls:
             real = getattr(protocol, name)
 
@@ -829,7 +829,7 @@ class TestStageBlocks:
             small, large = checks(stage, 51), checks(stage, 201)
             # the stream's key, then the first and last key of each block
             blocks = temps.size if name == "dynamical_calibration" else 1
-            assert small == large == {"_check_probability": 0, "_check_key": 1 + 2 * blocks}
+            assert small == large == {"check_probability": 0, "_check_key": 1 + 2 * blocks}
 
 
 # (t_hat, stderr, log_likelihood) of mle_temperature before the scan was scored

@@ -1,6 +1,7 @@
 """Two-level relaxation model: frozen reference values, closed forms against
 the independent integrator/differentiator, and algebraic invariants."""
 
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from mpemba_thermometry import (
     effective_rate,
     evolve_population,
     gibbs_population_qubit,
+    make_qubit_pair,
     thermal_quantities,
 )
 from mpemba_thermometry.fisher import qfi_qubit_closed_form
@@ -98,6 +100,46 @@ class TestEffectiveRate:
         base = effective_rate(params, gibbs_population_qubit(1.0, 0.5))
         if p0 >= gibbs_population_qubit(1.0, 0.5):
             assert effective_rate(params, p0) >= base - 1e-15
+
+
+# preparations below equilibrium whose feedback factor 1 + alpha (p0 - p_eq)
+# is exactly 0.0 or negative: (alpha, p0) at the canonical omega0, gamma, T
+P0_BELOW = 0.05
+UNPHYSICAL = {
+    "zero": (1.0 / (P_EQ - P0_BELOW), P0_BELOW),
+    "negative": (20.0, P0_BELOW),
+}
+
+
+class TestUnphysicalRate:
+    """Where the feedback factor is not positive, every route to the rate raises."""
+
+    def test_the_factors_are_zero_and_negative(self):
+        for name, (alpha, p0) in UNPHYSICAL.items():
+            factor = 1.0 + alpha * (p0 - gibbs_population_qubit(1.0, 0.5))
+            assert factor == 0.0 if name == "zero" else factor < 0.0
+
+    @pytest.mark.parametrize("case", UNPHYSICAL)
+    @pytest.mark.parametrize(
+        "route",
+        [
+            effective_rate,
+            lambda params, p0: evolve_population(params, p0, 1.0),
+            lambda params, p0: make_qubit_pair(params, P0_HOT, p0),
+        ],
+        ids=["effective_rate", "evolve_population", "make_qubit_pair"],
+    )
+    def test_every_route_raises(self, case, route):
+        alpha, p0 = UNPHYSICAL[case]
+        params = QubitBathParams(1.0, 1.0, 0.5, alpha)
+        with pytest.raises(UnphysicalRateError, match=r"^effective rate -?\S+ is non-positive"):
+            route(params, p0)
+
+    def test_a_nan_rate_raises(self):
+        # infinite feedback at equilibrium gives inf * 0 = nan, which used to be returned
+        params = QubitBathParams(1.0, 1.0, 0.5, math.inf)
+        with pytest.raises(UnphysicalRateError, match="^effective rate nan is non-positive"):
+            effective_rate(params, P_EQ)
 
 
 class TestEvolution:

@@ -123,6 +123,24 @@ class TestConstruction:
         with pytest.raises(RateMatrixError, match=re.escape("entry (0, 0) is -inf")):
             decompose(matrix)
 
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            (0.0, 0.0, 0.0),
+            (0.0, 2.0, 1.0),
+            (np.nan, 0.0, 1.0),
+            (0.0, np.nan, 1.0),
+            (0.0, 0.0, np.nan),
+        ],
+        ids=str,
+    )
+    def test_the_top_level_must_lie_above_both_low_levels(self, levels):
+        # a NaN level used to pass and fail later as "omega0 must be positive, got nan"
+        e1, e2, e3 = levels
+        expected = f"top level must lie above both low levels, got ({e1}, {e2}, {e3})"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            build_lambda_rate_matrix(e1, e2, e3, 1.0, 1.0, 0.5)
+
     def test_qubit_matrix_reduces_to_two_level_model(self):
         from mpemba_thermometry import QubitBathParams, thermal_quantities
 
