@@ -1,15 +1,16 @@
 """Anomalous-relaxation enhanced temperature estimation for dissipative probes.
 
-The package follows the physics pipeline: exact two-level relaxation
-(:mod:`.qubit`), spectral calculus of detailed-balance generators
-(:mod:`.spectral`), Fisher information of population readout (:mod:`.fisher`),
-inversion detection (:mod:`.mpemba`), checkable certificates for the
-transient-advantage argument (:mod:`.certificates`), and the finite-shot
-estimation pipeline (:mod:`.protocol`).  :mod:`.oracle` holds the independent
-numerical back-ends used for cross-checks, and :mod:`.cli` the command-line
-front end.
+The package follows the physics pipeline: the bath's occupation and Gibbs
+weights (:mod:`.bath`), exact two-level relaxation (:mod:`.qubit`), spectral
+calculus of detailed-balance generators (:mod:`.spectral`), Fisher information
+of population readout (:mod:`.fisher`), inversion detection (:mod:`.mpemba`),
+checkable certificates for the transient-advantage argument
+(:mod:`.certificates`), and the finite-shot estimation pipeline
+(:mod:`.protocol`).  :mod:`.oracle` holds the independent numerical back-ends
+used for cross-checks, and :mod:`.cli` the command-line front end.
 """
 
+from .bath import bose_occupation, dT_gibbs, gibbs_population_qubit, gibbs_vector
 from .fisher import (
     DivergentFisherError,
     fisher_from_populations,
@@ -29,13 +30,10 @@ from .qubit import (
     QubitBathParams,
     ThermalQuantities,
     UnphysicalRateError,
-    bose_occupation,
-    dT_gibbs,
     dT_population,
     dT_rate,
     effective_rate,
     evolve_population,
-    gibbs_population_qubit,
     thermal_quantities,
 )
 from .spectral import (
@@ -47,7 +45,6 @@ from .spectral import (
     build_qubit_rate_matrix,
     decompose,
     dT_populations_modal,
-    gibbs_vector,
     modal_trajectory,
     project_initial,
     temperature_derivatives,

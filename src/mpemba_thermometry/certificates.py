@@ -451,11 +451,7 @@ class TheoremCertificate:
             f"model_kind = {self.kind}",
             f"case = {fmt(self.case)}",
             f"kappa0 = {fmt(self.kappa0)}",
-            f"inversion_detected = {fmt(self.inversion.detected)}",
-            f"t_star = {fmt(self.t_star)}",
-            f"delta_tol = {fmt(self.inversion.delta_tol)}",
-            f"norm_kind = {self.inversion.norm_kind}",
-            f"persistent = {fmt(self.inversion.persistent)}",
+            *self.inversion.to_lines(),
             f"f_eq = {fmt(self.f_eq)}",
             f"f_hot_at_t_star = {fmt(self.f_hot_tstar)}",
             f"f_cold_at_t_star = {fmt(self.f_cold_tstar)}",

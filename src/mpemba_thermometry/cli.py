@@ -159,18 +159,10 @@ def _cmd_relax(config: RunConfig, out_dir: Path) -> int:
     d_hot = distance_series(hot, eq, record.norm_kind)
     d_cold = distance_series(cold, eq, record.norm_kind)
     hot, cold, eq = (measured_level(states, eq) for states in (hot, cold, eq))
-    trailer = [
-        f"inversion_detected = {'true' if record.detected else 'false'}",
-        f"t_star = {_fmt(record.t_star) if record.detected else 'none'}",
-        f"delta_tol = {_fmt(record.delta_tol)}",
-        f"norm_kind = {record.norm_kind}",
-        f"persistent = "
-        + ("none" if record.persistent is None else ("true" if record.persistent else "false")),
-    ]
     content = _csv(
         ["t", "p_hot", "p_cold", "p_eq", "d_hot", "d_cold"],
         [(times, hot, cold, float(eq), d_hot, d_cold)],
-        trailer,
+        record.to_lines(),
     )
     _write_text(out_dir / "relax.csv", content)
     return 0

@@ -13,13 +13,8 @@ from functools import reduce
 
 import numpy as np
 
-from .qubit import (
-    QubitBathParams,
-    dT_gibbs,
-    dT_population,
-    evolve_population,
-    gibbs_population_qubit,
-)
+from .bath import dT_gibbs, gibbs_population_qubit
+from .qubit import QubitBathParams, dT_population, evolve_population
 
 __all__ = [
     "DivergentFisherError",
@@ -55,6 +50,8 @@ def fisher_from_populations(populations, d_populations):
     dp = np.asarray(d_populations, dtype=float)
     if p.shape != dp.shape:
         raise ValueError(f"shape mismatch: populations {p.shape} vs sensitivities {dp.shape}")
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ValueError(f"populations need a last axis of at least one level, got shape {p.shape}")
     rows_p = p.reshape(-1, p.shape[-1])
     rows_dp = dp.reshape(rows_p.shape)
     # per-row reductions run level by level: numpy reduces a short last axis

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qubit as qb
+from .bath import gibbs_population_qubit
 from .fisher import (
     binomial_fisher, fisher_from_populations, qfi_equilibrium, qfi_qubit_closed_form
 )
@@ -208,7 +209,7 @@ def make_qubit_probe(params: qb.QubitBathParams, p0: float | None) -> Probe:
     """Bind the two-level closed forms to ``p0``, or to the thermalized probe."""
     if p0 is None:
         bath = (params.omega0, params.temperature)
-        return Probe(_held(qb.gibbs_population_qubit, *bath), _held(qfi_equilibrium, *bath))
+        return Probe(_held(gibbs_population_qubit, *bath), _held(qfi_equilibrium, *bath))
     return Probe(
         partial(qb.evolve_population, params, p0), partial(qfi_qubit_closed_form, params, p0)
     )

@@ -61,6 +61,17 @@ class InversionRecord:
     def detected(self) -> bool:
         return self.t_star is not None
 
+    def to_lines(self) -> list[str]:
+        """The ``key = value`` lines of the ``relax`` trailer and the theorem certificate."""
+        flags = {None: "none", True: "true", False: "false"}
+        return [
+            f"inversion_detected = {flags[self.detected]}",
+            f"t_star = {'none' if self.t_star is None else format(self.t_star, '.17g')}",
+            f"delta_tol = {format(self.delta_tol, '.17g')}",
+            f"norm_kind = {self.norm_kind}",
+            f"persistent = {flags[self.persistent]}",
+        ]
+
 
 @dataclass(frozen=True)
 class HierarchyReport:

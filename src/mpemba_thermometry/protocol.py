@@ -682,9 +682,11 @@ def nearest_knot(
     knot nearest the temperature whose equilibrium is ``p_measured``.  A
     population outside the calibrated range clamps to the edge knot, and a
     population equal to a midpoint's equilibrium goes to the lower knot.  The
-    equilibrium must increase strictly across the midpoints.
+    knots pass :func:`.grids.check_grid` (at least one), ``p_measured`` the
+    probability rule, and the equilibrium must increase strictly across the midpoints.
     """
-    knots = np.asarray(knots, dtype=float)
+    knots = check_grid(knots, "knots", 1)
+    check_probability("p_measured", p_measured)
     midpoints = 0.5 * (knots[:-1] + knots[1:])
     g = np.array([measured_level(probe_at(m).equilibrium) for m in midpoints.tolist()])
     if np.any(np.diff(g) <= 0):

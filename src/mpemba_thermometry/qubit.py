@@ -8,10 +8,8 @@ so preparations farther above equilibrium relax *faster* whenever alpha > 0.
 That preparation-dependent rate is the anomalous-relaxation mechanism the rest
 of the package studies; alpha = 0 recovers the ordinary linear-response decay.
 All results here are exact closed forms (units hbar = k_B = 1), including the
-temperature derivatives, which are written in overflow-safe factorized form:
-
-    dT p_eq   = (omega0 / T^2) p_eq (1 - p_eq)
-    dT nbar   = (omega0 / T^2) nbar (1 + nbar)
+temperature derivatives; the bath's occupation, equilibrium population and
+their derivatives come from :mod:`.bath`.
 
 The time-dependent closed forms take ``t`` as a float or as a 1-D array (one
 value per time) and evaluate both on one path: ``t`` becomes a float array
@@ -24,41 +22,27 @@ each array entry equals the float call at that time bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import bose_occupation, dT_bose, dT_gibbs, gibbs_population_qubit
 from .grids import check_non_negative, check_positive, check_probability, check_times
 
 __all__ = [
-    "ColdLimitWarning",
     "UnphysicalRateError",
     "QubitBathParams",
     "ThermalQuantities",
-    "bose_occupation",
-    "gibbs_population_qubit",
     "thermal_quantities",
     "effective_rate",
     "evolve_population",
-    "dT_gibbs",
-    "dT_bose",
     "dT_rate",
     "dT_population",
 ]
 
-# exp(omega0/T) overflows float64 a little above omega0/T = 709; past this the
-# probe is numerically at zero temperature, so limit values are returned with
-# a warning instead of raising OverflowError.
-COLD_CUTOFF = 700.0
-
-
-class ColdLimitWarning(RuntimeWarning):
-    """omega0/T exceeded the overflow cutoff; zero-temperature limits returned."""
-
 
 class UnphysicalRateError(ValueError):
-    """The effective relaxation rate came out non-positive."""
+    """The effective relaxation rate came out non-positive or infinite."""
 
 
 @dataclass(frozen=True)
@@ -87,35 +71,6 @@ class ThermalQuantities:
     gamma0: float
 
 
-def _cold(omega0: float, temperature: float) -> bool:
-    check_positive("omega0", omega0)
-    check_positive("temperature", temperature)
-    if omega0 / temperature > COLD_CUTOFF:
-        # attributed to this line, not to the caller, so that the default
-        # filter shows a cold run's warning once whichever callers reach it
-        warnings.warn(
-            f"omega0/T = {omega0 / temperature:.3g} exceeds the overflow cutoff; "
-            "returning zero-temperature limit",
-            ColdLimitWarning,
-        )
-        return True
-    return False
-
-
-def bose_occupation(omega0: float, temperature: float) -> float:
-    """Mean bath occupation 1 / (exp(omega0/T) - 1)."""
-    if _cold(omega0, temperature):
-        return 0.0
-    return 1.0 / math.expm1(omega0 / temperature)
-
-
-def gibbs_population_qubit(omega0: float, temperature: float) -> float:
-    """Equilibrium excited population 1 / (1 + exp(omega0/T))."""
-    if _cold(omega0, temperature):
-        return 0.0
-    return 1.0 / (1.0 + math.exp(omega0 / temperature))
-
-
 def thermal_quantities(params: QubitBathParams) -> ThermalQuantities:
     n_bar = bose_occupation(params.omega0, params.temperature)
     return ThermalQuantities(
@@ -128,9 +83,10 @@ def thermal_quantities(params: QubitBathParams) -> ThermalQuantities:
 def _rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:
     check_probability("p0", p0)
     rate = q.gamma0 * (1.0 + params.alpha * (p0 - q.p_eq))
-    if not rate > 0.0:  # NaN included
+    if not 0.0 < rate < math.inf:  # NaN included
+        kind = "infinite" if rate == math.inf else "non-positive"
         raise UnphysicalRateError(
-            f"effective rate {rate:.6g} is non-positive (alpha={params.alpha}, "
+            f"effective rate {rate:.6g} is {kind} (alpha={params.alpha}, "
             f"p0={p0}, p_eq={q.p_eq:.6g})"
         )
     return rate
@@ -147,26 +103,6 @@ def evolve_population(params: QubitBathParams, p0: float, t):
     q = thermal_quantities(params)
     p = q.p_eq + (p0 - q.p_eq) * np.exp(-_rate(params, p0, q) * times)
     return p if times.ndim else float(p)
-
-
-def _squared(temperature: float) -> float:
-    try:
-        return temperature**2
-    except OverflowError as exc:
-        message = f"temperature {temperature:.6g} squared overflows a float (limit about 1.34e154)"
-        raise OverflowError(message) from exc
-
-
-def dT_gibbs(omega0: float, temperature: float) -> float:
-    """Temperature derivative of the equilibrium population (factorized form)."""
-    p_eq = gibbs_population_qubit(omega0, temperature)
-    return (omega0 / _squared(temperature)) * p_eq * (1.0 - p_eq)
-
-
-def dT_bose(omega0: float, temperature: float) -> float:
-    """Temperature derivative of the bath occupation (factorized form)."""
-    n_bar = bose_occupation(omega0, temperature)
-    return (omega0 / _squared(temperature)) * n_bar * (1.0 + n_bar)
 
 
 def _dT_rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:

@@ -25,9 +25,9 @@ matrix O[j, k] = w_j . (dT R) v_k and the gap matrix G[j, k] =
 products W (G * O) and V (G * O^T).
 
 dT R itself is exact: the generator builders write it next to R from the
-closed-form dT nbar.  Finite differences appear only in
-:func:`finite_difference_spectrum`, the oracle the perturbation route is
-checked against.  The modal sums take ``t`` by the qubit's rule,
+closed-form dT nbar of :mod:`.bath`, which also gives pi and dT pi.  Finite
+differences appear only in :func:`finite_difference_spectrum`, the oracle the
+perturbation route is checked against.  The modal sums take ``t`` by
 :func:`.grids.check_times`: a float gives one vector, a 1-D array one row per time.
 
 A note on the three-level ladder in its symmetric configuration (degenerate
@@ -45,8 +45,8 @@ from typing import Callable
 
 import numpy as np
 
+from .bath import bose_occupation, dT_bose, dT_gibbs_vector, gibbs_vector
 from .grids import check_positive, check_times
-from .qubit import bose_occupation, dT_bose
 
 __all__ = [
     "RateMatrixError",
@@ -57,8 +57,6 @@ __all__ = [
     "SpectralDecomposition",
     "SpectralDerivatives",
     "ModalAmplitudes",
-    "gibbs_vector",
-    "dT_gibbs_vector",
     "build_qubit_rate_matrix",
     "build_lambda_rate_matrix",
     "validate_rate_matrix",
@@ -146,27 +144,6 @@ class ModalAmplitudes:
 
     amplitudes: np.ndarray
     dT_amplitudes: np.ndarray | None = None
-
-
-def gibbs_vector(energies: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized Boltzmann weights exp(-E_i / T), overflow-safe.
-
-    The energies are shifted by their minimum, so the largest weight is 1.
-    The exponent is (E_i - E_min) / -T, which equals -(E_i - E_min) / T bit
-    for bit in IEEE arithmetic.  The temperature follows :func:`.grids.check_positive`.
-    """
-    check_positive("temperature", temperature)
-    energies = np.asarray(energies, dtype=float)
-    weights = np.exp((energies - np.minimum.reduce(energies, axis=None)) / -temperature)
-    return weights / np.add.reduce(weights, axis=None)
-
-
-def dT_gibbs_vector(energies: np.ndarray, temperature: float) -> np.ndarray:
-    """dT pi_i = pi_i (E_i - <E>) / T^2, which sums to zero exactly."""
-    energies = np.asarray(energies, dtype=float)
-    pi = gibbs_vector(energies, temperature)
-    mean_energy = float(pi @ energies)
-    return pi * (energies - mean_energy) / temperature**2
 
 
 def build_qubit_rate_matrix(omega0: float, gamma: float, temperature: float) -> RateMatrix:

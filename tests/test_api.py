@@ -252,6 +252,26 @@ def test_grids_imports_nothing_from_the_package():
     assert not package, f"grids.py imports from the package: {package}"
 
 
+def test_the_bath_imports_only_grids_and_spectral_nothing_from_qubit():
+    # the bath is the one home of the occupation and the Gibbs weights, so the
+    # generator builders reach it without the qubit's feedback law
+    from mpemba_thermometry import bath, spectral
+
+    assert package_imports(bath) == [".grids"]
+    from_qubit = [name for name in package_imports(spectral) if name.endswith("qubit")]
+    assert not from_qubit, f"spectral.py imports {from_qubit}"
+
+
+def test_every_module_binds_the_bath_functions_of_bath():
+    # one definition each: a module that holds a bath name holds bath's object
+    from mpemba_thermometry import bath
+
+    for module in [mpemba_thermometry, *MODULES]:
+        for name in bath.__all__:
+            value = getattr(module, name, None)
+            assert value is None or value is getattr(bath, name), f"{module.__name__}.{name}"
+
+
 def model_imports(module) -> list[str]:
     """The model modules (``qubit``, ``spectral``) among ``module``'s package imports."""
     models = ("qubit", "spectral")

@@ -331,6 +331,13 @@ class TestVerifyTheorem:
         assert "applicable = false" in text
         assert "inversion_detected = false" in text
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_the_text_writes_the_inversion_record_lines(self, alpha):
+        pair = make_qubit_pair(QubitBathParams(1.0, 1.0, 0.5, alpha), P0_HOT, P0_COLD)
+        cert = verify_theorem(pair)
+        lines = cert.to_text().splitlines()
+        assert lines[4:9] == cert.inversion.to_lines()
+
     def test_report_text_is_deterministic(self, ladder_matrix):
         pair = make_lambda_pair(ladder_matrix, LADDER_HOT, LADDER_COLD)
         first = verify_theorem(pair).to_text()

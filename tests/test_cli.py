@@ -14,6 +14,7 @@ import pytest
 
 import mpemba_thermometry
 from mpemba_thermometry import cli, make_lambda_pair, make_qubit_pair
+from mpemba_thermometry.bath import ColdLimitWarning
 from mpemba_thermometry.cli import _csv, _fmt, main
 from mpemba_thermometry.config import load_config
 from mpemba_thermometry.fisher import qfi_equilibrium
@@ -21,7 +22,6 @@ from mpemba_thermometry.instances import make_qubit_probe, measured_level
 from mpemba_thermometry.mpemba import distance_series, qfi_gain
 from mpemba_thermometry.protocol import BoundaryMaximumWarning, calibrate_equilibrium, fisher_map
 from mpemba_thermometry.qubit import (
-    ColdLimitWarning,
     QubitBathParams,
     UnphysicalRateError,
     effective_rate,

@@ -105,7 +105,7 @@ class TestEquilibrium:
         assert qfi_equilibrium(1.0, 0.5) == pytest.approx(direct, rel=1e-13)
 
     def test_deterministic_population_diverges(self):
-        from mpemba_thermometry.qubit import ColdLimitWarning
+        from mpemba_thermometry.bath import ColdLimitWarning
 
         with pytest.warns(ColdLimitWarning), pytest.raises(DivergentFisherError):
             qfi_equilibrium(1.0, 1e-3)
@@ -209,6 +209,16 @@ class TestPopulationFisher:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             fisher_from_populations(np.array([0.5, 0.5]), np.array([0.1, -0.05, -0.05]))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)], ids=str)
+    def test_rejects_inputs_without_a_level_naming_the_shape(self, shape):
+        # a 0-d input raised IndexError, a (0,) one numpy's "cannot reshape array of size 0"
+        p = np.full(shape, 0.5)
+        with pytest.raises(ValueError) as info:
+            fisher_from_populations(p, p)
+        assert str(info.value) == (
+            f"populations need a last axis of at least one level, got shape {shape}"
+        )
 
     def test_rejects_unbalanced_sensitivities(self):
         with pytest.raises(ValueError):

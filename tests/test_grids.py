@@ -59,6 +59,7 @@ from mpemba_thermometry.protocol import (
     calibrate_equilibrium,
     dynamical_calibration,
     fisher_map,
+    nearest_knot,
     sample_population,
 )
 from mpemba_thermometry.qubit import dT_rate
@@ -308,6 +309,9 @@ SCANS = {
         "time_grid",
         2,
     ),
+    # repeated knots picked the later one, reversed ones raised DegenerateModelError,
+    # and an empty list gave knot 0
+    "nearest_knot": (lambda grid: nearest_knot(qubit_pair_at, grid, 0.1), "knots", 1),
 }
 THERMAL = {"omega0": 1.0, "temperature": 0.5}
 # each site of a scalar parameter rule: (a call of the value, the parameter's
@@ -346,6 +350,13 @@ PARAMETERS = {
     },
     "effective_rate p0": (partial(effective_rate, QUBIT), "p0", check_probability, P0_HOT),
     "dT_rate p0": (partial(dT_rate, QUBIT), "p0", check_probability, P0_HOT),
+    # a NaN population picked the last knot
+    "nearest_knot p_measured": (
+        lambda value: nearest_knot(qubit_pair_at, np.linspace(0.3, 0.7, 9), value),
+        "p_measured",
+        check_probability,
+        0.1,
+    ),
     "sample_population p_true": (
         lambda value: sample_population(value, 10, 0), "p_true", check_probability, 0.5
     ),

@@ -23,7 +23,7 @@ from mpemba_thermometry import (
 )
 from mpemba_thermometry.fisher import binomial_fisher, qfi_equilibrium, qfi_qubit_closed_form
 from mpemba_thermometry.instances import make_lambda_probe, make_qubit_probe, measured_level
-from mpemba_thermometry.mpemba import TrajectoryOrderingError, distance_series
+from mpemba_thermometry.mpemba import InversionRecord, TrajectoryOrderingError, distance_series
 from mpemba_thermometry.spectral import dT_populations_modal
 
 from conftest import (
@@ -328,6 +328,29 @@ class TestDetectInversion:
         if widened.detected:
             assert base.detected
             assert widened.t_star >= base.t_star - 1e-12
+
+
+class TestRecordLines:
+    # the relax trailer and the theorem certificate write these lines, one renderer
+    def test_a_detected_record(self):
+        record = InversionRecord(T_STAR_QUBIT, 0.0, "scalar_abs", persistent=True)
+        assert record.to_lines() == [
+            "inversion_detected = true",
+            "t_star = 1.3671541640340499",
+            "delta_tol = 0",
+            "norm_kind = scalar_abs",
+            "persistent = true",
+        ]
+
+    def test_a_record_without_an_inversion(self):
+        record = InversionRecord(None, 1e-3, "euclidean", persistent=None)
+        assert record.to_lines() == [
+            "inversion_detected = false",
+            "t_star = none",
+            "delta_tol = 0.001",
+            "norm_kind = euclidean",
+            "persistent = none",
+        ]
 
 
 class TestQfiGain:

@@ -19,10 +19,10 @@ from mpemba_thermometry import (
     make_qubit_pair,
     thermal_quantities,
 )
+from mpemba_thermometry.bath import ColdLimitWarning
 from mpemba_thermometry.fisher import qfi_qubit_closed_form
 from mpemba_thermometry.oracle import finite_difference_dT, integrate_rate_equation
 from mpemba_thermometry.qubit import (
-    ColdLimitWarning,
     UnphysicalRateError,
     dT_gibbs,
     dT_rate,
@@ -140,6 +140,15 @@ class TestUnphysicalRate:
         params = QubitBathParams(1.0, 1.0, 0.5, math.inf)
         with pytest.raises(UnphysicalRateError, match="^effective rate nan is non-positive"):
             effective_rate(params, P_EQ)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_an_infinite_rate_raises(self, t):
+        # infinite feedback above equilibrium gave an infinite rate, and inf * 0 at
+        # t = 0 a nan population with a numpy RuntimeWarning
+        params = QubitBathParams(1.0, 1.0, 0.5, math.inf)
+        for route in (effective_rate, lambda *args: evolve_population(*args, t)):
+            with pytest.raises(UnphysicalRateError, match="^effective rate inf is infinite"):
+                route(params, P0_HOT)
 
 
 class TestEvolution:

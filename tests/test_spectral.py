@@ -17,8 +17,8 @@ from mpemba_thermometry import (
     project_initial,
     temperature_derivatives,
 )
+from mpemba_thermometry.bath import ColdLimitWarning
 from mpemba_thermometry.oracle import finite_difference_dT, integrate_rate_equation
-from mpemba_thermometry.qubit import ColdLimitWarning
 from mpemba_thermometry.spectral import (
     DegenerateSpectrumError,
     RateMatrix,
