@@ -422,7 +422,6 @@ class TheoremCertificate:
     f_eq: float
     case: str | None = None
     kappa0: float | None = None
-    t_star: float | None = None
     f_hot_tstar: float | None = None
     f_cold_tstar: float | None = None
     hot_gt_cold_at_tstar: bool | None = None
@@ -519,7 +518,6 @@ def verify_theorem(
         f_eq=f_eq,
         case=case,
         kappa0=kappa0,
-        t_star=t_star,
         f_hot_tstar=f_hot,
         f_cold_tstar=f_cold,
         hot_gt_cold_at_tstar=bool(f_hot > f_cold),

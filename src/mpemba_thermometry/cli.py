@@ -8,6 +8,10 @@ columns (see :func:`_csv`), so each distinct value is formatted once: a
 column that is one value on every row of its block, or an array that several
 blocks share, is not formatted again for each row.
 
+Each command imports only what it runs: ``theorem`` loads
+:mod:`.certificates` and ``protocol`` loads :mod:`.protocol` when they are
+dispatched, so a ``relax`` or ``qfi`` process never compiles either module.
+
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 """
 
@@ -22,23 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import qubit as qb
-from .certificates import verify_theorem
 from .config import ConfigError, RunConfig, load_config
 from .fisher import DivergentFisherError
 from .instances import (
     make_lambda_pair, make_lambda_probe, make_qubit_pair, make_qubit_probe, measured_level
 )
 from .mpemba import TrajectoryOrderingError, distance_series, qfi_gain
-from .protocol import (
-    CELLS_ESTIMATE,
-    DegenerateModelError,
-    calibrate_equilibrium,
-    dynamical_calibration,
-    fisher_map,
-    mle_temperature,
-    nearest_knot,
-    sample_population,
-)
 from .spectral import (
     DegenerateSpectrumError,
     RateMatrixError,
@@ -52,7 +45,6 @@ _NUMERICAL_ERRORS = (
     DegenerateSpectrumError,
     RateMatrixError,
     TrajectoryOrderingError,
-    DegenerateModelError,
     qb.UnphysicalRateError,
     ZeroDivisionError,
     FloatingPointError,
@@ -198,6 +190,8 @@ def _cmd_qfi(config: RunConfig, out_dir: Path) -> int:
 
 def _cmd_theorem(config: RunConfig, out_dir: Path) -> int:
     """Run the transient-advantage verification and write its certificate."""
+    from .certificates import verify_theorem
+
     pair = _build_pair(config, config.temperature)
     certificate = verify_theorem(pair, t_grid=_time_grid(config), delta_tol=config.delta_tol)
     _write_text(out_dir / "theorem_certificate.txt", certificate.to_text())
@@ -206,6 +200,17 @@ def _cmd_theorem(config: RunConfig, out_dir: Path) -> int:
 
 def _cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     """End-to-end pipeline: calibrate, map, and estimate the temperature."""
+    from .protocol import (
+        CELLS_ESTIMATE,
+        DegenerateModelError,
+        calibrate_equilibrium,
+        dynamical_calibration,
+        fisher_map,
+        mle_temperature,
+        nearest_knot,
+        sample_population,
+    )
+
     probe_at = partial(_build_pair, config)
     # the map and the likelihood model only the interrogated preparation: a
     # probe per scanned temperature checks no other one, up to 1.5 calib_t_max
@@ -268,7 +273,7 @@ def _cmd_protocol(config: RunConfig, out_dir: Path) -> int:
             ),
         )
         manifest.append("step_estimate = ok")
-    except _NUMERICAL_ERRORS as exc:
+    except (*_NUMERICAL_ERRORS, DegenerateModelError) as exc:
         # each finished step has written its line, so the failing step is the next
         failed = len(manifest)
         manifest.append(f"step_{steps[failed]} = failed: {exc}")

@@ -106,7 +106,7 @@ def evolve_population(params: QubitBathParams, p0: float, t):
 
 
 def _dT_rate(params: QubitBathParams, p0: float, q: ThermalQuantities) -> float:
-    check_probability("p0", p0)
+    # callers check the rate by _rate first, p0 included
     d_gamma0 = 2.0 * params.gamma * dT_bose(params.omega0, params.temperature)
     d_peq = dT_gibbs(params.omega0, params.temperature)
     return d_gamma0 * (1.0 + params.alpha * (p0 - q.p_eq)) - params.alpha * q.gamma0 * d_peq
@@ -117,9 +117,12 @@ def dT_rate(params: QubitBathParams, p0: float) -> float:
 
     dT Gamma = dT Gamma0 * (1 + alpha (p0 - p_eq)) - alpha Gamma0 * dT p_eq;
     the second term is the anomalous contribution (p0 is held fixed while the
-    equilibrium point moves with T).
+    equilibrium point moves with T).  A rate that is not positive and finite
+    raises :class:`UnphysicalRateError`, as in :func:`effective_rate`.
     """
-    return _dT_rate(params, p0, thermal_quantities(params))
+    q = thermal_quantities(params)
+    _rate(params, p0, q)
+    return _dT_rate(params, p0, q)
 
 
 def dT_population(params: QubitBathParams, p0: float, t):

@@ -227,20 +227,58 @@ def test_oracle_imports_nothing_from_the_package():
     assert not package, f"oracle.py imports from the package: {package}"
 
 
-def test_importing_the_cli_leaves_the_oracle_unloaded():
-    # the oracle is test support: no module on the command line's import
-    # graph reaches it; a fresh interpreter shows what the import loads
+def loaded_package_modules(statement: str) -> set[str]:
+    """The package modules a fresh interpreter holds after running ``statement``."""
     src = Path(mpemba_thermometry.__file__).resolve().parent.parent
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import mpemba_thermometry.cli; "
+        f"import sys; sys.path.insert(0, {str(src)!r}); {statement}; "
         "print(sorted(name for name in sys.modules if name.startswith('mpemba_thermometry')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
-    loaded = ast.literal_eval(done.stdout)
-    assert "mpemba_thermometry.cli" in loaded
-    assert "mpemba_thermometry.oracle" not in loaded
+    return {name.removeprefix("mpemba_thermometry.") for name in ast.literal_eval(done.stdout)}
+
+
+# what ``import mpemba_thermometry.cli`` loads: the package, the config and the
+# model modules every command needs
+CLI_IMPORT = {
+    "mpemba_thermometry",
+    "bath",
+    "cli",
+    "config",
+    "fisher",
+    "grids",
+    "instances",
+    "mpemba",
+    "qubit",
+    "spectral",
+}
+
+
+def test_importing_the_cli_leaves_the_oracle_unloaded():
+    # the oracle is test support: no module on the command line's import
+    # graph reaches it; the certificates and the protocol load with the one
+    # command that runs each, so the other commands never compile them
+    loaded = loaded_package_modules("import mpemba_thermometry.cli")
+    assert loaded == CLI_IMPORT
+    assert not loaded & {"oracle", "certificates", "protocol"}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("relax", set()), ("qfi", set()), ("theorem", {"certificates"}), ("protocol", {"protocol"})],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, command, extra):
+    # the exact set: theorem adds the certificates, protocol the protocol,
+    # and no command loads the oracle
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_steps = 11\ncalib_t_points = 5\nshots = 100\n")
+    argv = [command, "--config", str(cfg), "--output", str(tmp_path)]
+    loaded = loaded_package_modules(
+        f"from mpemba_thermometry.cli import main; assert main({argv!r}) == 0"
+    )
+    assert loaded == CLI_IMPORT | extra
 
 
 def test_grids_imports_nothing_from_the_package():

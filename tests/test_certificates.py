@@ -276,7 +276,7 @@ class TestVerifyTheorem:
         assert cert.kind == "qubit"
         assert cert.case == "A"
         assert cert.kappa0 == pytest.approx(KAPPA0_CANONICAL, rel=1e-12)
-        assert cert.t_star == pytest.approx(T_STAR_QUBIT, abs=1e-8)
+        assert cert.inversion.t_star == pytest.approx(T_STAR_QUBIT, abs=1e-8)
         # measured orderings at the crossing: both claimed inequalities fail
         assert cert.hot_gt_cold_at_tstar is False
         assert cert.cold_ge_eq_at_tstar is False
@@ -289,7 +289,7 @@ class TestVerifyTheorem:
         assert cert.kind == "lambda"
         assert cert.case == "B"  # the hot preparation has no slow-mode loading
         assert cert.kappa0 is None
-        assert cert.t_star == pytest.approx(T_STAR_LADDER, abs=1e-8)
+        assert cert.inversion.t_star == pytest.approx(T_STAR_LADDER, abs=1e-8)
         assert cert.lemma1.fast_slack >= -1e-12
         assert cert.lemma1.remainder_slack >= -1e-12
         assert cert.lemma2.triangle_slack >= -1e-12
@@ -310,7 +310,7 @@ class TestVerifyTheorem:
         # one generator for both preparations: the rate contrast is exactly 0
         assert cert.kappa0 == 0.0
         assert "kappa0 = 0\n" in cert.to_text()
-        assert cert.t_star == pytest.approx(0.532, abs=1e-3)
+        assert cert.inversion.t_star == pytest.approx(0.532, abs=1e-3)
         assert cert.lemma1 is not None and cert.lemma2 is not None
         assert cert.constants is not None
         for slack in (
@@ -325,7 +325,7 @@ class TestVerifyTheorem:
         pair = make_qubit_pair(QubitBathParams(1.0, 1.0, 0.5, 0.0), P0_HOT, P0_COLD)
         cert = verify_theorem(pair)
         assert not cert.applicable
-        assert cert.t_star is None
+        assert cert.inversion.t_star is None
         assert cert.case is None
         text = cert.to_text()
         assert "applicable = false" in text

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mpemba_thermometry
-from mpemba_thermometry import cli, make_lambda_pair, make_qubit_pair
+from mpemba_thermometry import cli, make_lambda_pair, make_qubit_pair, protocol
 from mpemba_thermometry.bath import ColdLimitWarning
 from mpemba_thermometry.cli import _csv, _fmt, main
 from mpemba_thermometry.config import load_config
@@ -458,13 +458,13 @@ class TestProtocolCommand:
     def test_margin_is_parsed_once_by_the_config(self, tmp_path, monkeypatch, text, policy):
         # the config keeps the parsed margin, and the command passes it on as it is
         seen = []
-        calibration = cli.dynamical_calibration
+        calibration = protocol.dynamical_calibration
 
         def recording(*args, **kwargs):
             seen.append(kwargs["delta_policy"])
             return calibration(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "dynamical_calibration", recording)
+        monkeypatch.setattr(protocol, "dynamical_calibration", recording)
         cfg = write_config(tmp_path, "shots = 0\n" + text)
         assert load_config(cfg).delta_policy == policy
         assert main(["protocol", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
@@ -484,7 +484,7 @@ class TestProtocolCommand:
         def fails(*args, **kwargs):
             raise FloatingPointError("injected")
 
-        monkeypatch.setattr(cli, function, fails)
+        monkeypatch.setattr(protocol, function, fails)
         cfg = write_config(tmp_path, "shots = 0\n")
         out = tmp_path / "out"
         assert main(["protocol", "--config", cfg, "--output", str(out)]) == 3
@@ -499,6 +499,23 @@ class TestProtocolCommand:
         assert sorted(path.name for path in out.iterdir()) == sorted(
             [f"{name}.csv" for name in steps[:failed]] + ["manifest.txt"]
         )
+
+    def test_a_degenerate_model_fails_its_step(self, tmp_path, capsys, monkeypatch):
+        # the protocol's own error is caught by the step handler, not by main
+        def degenerate(*args, **kwargs):
+            raise protocol.DegenerateModelError("injected")
+
+        monkeypatch.setattr(protocol, "nearest_knot", degenerate)
+        cfg = write_config(tmp_path, "shots = 0\n")
+        out = tmp_path / "out"
+        assert main(["protocol", "--config", cfg, "--output", str(out)]) == 3
+        assert (out / "manifest.txt").read_text().splitlines() == [
+            "step_calibration = ok",
+            "step_inversion_map = ok",
+            "step_fisher_map = ok",
+            "step_estimate = failed: injected",
+        ]
+        assert "protocol step estimate failed: injected" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -124,10 +124,11 @@ class TestUnphysicalRate:
         "route",
         [
             effective_rate,
+            dT_rate,
             lambda params, p0: evolve_population(params, p0, 1.0),
             lambda params, p0: make_qubit_pair(params, P0_HOT, p0),
         ],
-        ids=["effective_rate", "evolve_population", "make_qubit_pair"],
+        ids=["effective_rate", "dT_rate", "evolve_population", "make_qubit_pair"],
     )
     def test_every_route_raises(self, case, route):
         alpha, p0 = UNPHYSICAL[case]
@@ -143,10 +144,11 @@ class TestUnphysicalRate:
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_an_infinite_rate_raises(self, t):
-        # infinite feedback above equilibrium gave an infinite rate, and inf * 0 at
-        # t = 0 a nan population with a numpy RuntimeWarning
+        # infinite feedback above equilibrium gave an infinite rate, inf * 0 at
+        # t = 0 a nan population with a numpy RuntimeWarning, and inf - inf a
+        # silent nan derivative of the rate
         params = QubitBathParams(1.0, 1.0, 0.5, math.inf)
-        for route in (effective_rate, lambda *args: evolve_population(*args, t)):
+        for route in (effective_rate, dT_rate, lambda *args: evolve_population(*args, t)):
             with pytest.raises(UnphysicalRateError, match="^effective rate inf is infinite"):
                 route(params, P0_HOT)
 
